@@ -232,7 +232,7 @@ func (sr *ShardedRuntime) Query(sql string) (*QueryResult, error) {
 			}
 			return ex.Run(p)
 		},
-		MaxBroadcast: exec.BroadcastMax(),
+		MaxBroadcast: shard.MaxBroadcastRows,
 	}
 
 	var rows *storage.Relation

@@ -256,7 +256,6 @@ func (en *Engine) NewEval(ms *MatState) *Eval {
 	return &Eval{
 		En:       en,
 		MS:       ms,
-		Par:      storage.DefaultPar(),
 		fullMemo: make([]*volcano.Memo, en.U.N()+1),
 		diffMemo: make([]*DiffPlan, en.U.N()*len(en.D.Equivs)),
 	}

@@ -1,27 +1,26 @@
 package exec
 
-// Vectorized columnar batch kernels and the engine dispatch layer. Every
-// kernel here is output-byte-identical to its row twin in ops.go/parallel.go
-// — same rows, same order, same Value payloads — because:
+// The vectorized columnar operator kernels: the one engine every plan
+// interpreter (run.go, maintain.go, schedule.go) executes through. Each
+// kernel's output is byte-identical to a sequential row-at-a-time
+// evaluation — same rows, same order, same Value payloads — which the
+// reference evaluator in internal/exec/equivtest checks, because:
 //
 //   - Selection runs over typed column vectors (storage.ColView) into a
 //     selection Bitmap whose bit order is row order; the gather pass walks
-//     set bits ascending, reproducing the row filter's emission order, and
+//     set bits ascending, reproducing a row filter's emission order, and
 //     copies output values from the ORIGINAL tuples, never re-encoding them.
 //   - The hash join keys on cached hash columns (ColView.KeyHashes — the
-//     same algebra.Tuple.HashCols the row join computes inline), keeps
+//     same algebra.Tuple.HashCols a row join computes inline), keeps
 //     build-bucket insertion order and probe order, confirms collisions with
-//     the same EqualOn, and evaluates residual conjuncts two-sided with the
-//     same Value.Compare — so every emit decision and its order match the
-//     row join exactly. The projection to the operator's target schema is
-//     fused into the emit (no wide l++r intermediate row is ever built).
-//   - Aggregation/dedup/minus consume cached hash columns partition-wise
-//     with the same state machines as the row engine.
+//     EqualOn, and evaluates residual conjuncts two-sided with Value.Compare.
+//     The projection to the operator's target schema is fused into the emit
+//     (no wide l++r intermediate row is ever built).
+//   - Aggregation/dedup/minus consume cached hash columns partition-wise.
 //
-// The exec* dispatch wrappers at the bottom route each plan operator to the
-// batch or row kernel from Par.Batch; all three plan interpreters (run.go,
-// maintain.go, schedule.go) call only the wrappers, so the engines stay
-// interchangeable everywhere.
+// Large inputs split into morsel ranges or hash partitions (see
+// parallel.go); per-range outputs concatenate in range order, so results do
+// not depend on the partition count.
 
 import (
 	"repro/internal/algebra"
@@ -45,14 +44,7 @@ import (
 // bitmap word (the scratch bitmap is word-disjoint between workers too).
 func batchSelBitmap(in *storage.Relation, pred algebra.Pred, par storage.Par) *Bitmap {
 	bp := pred.Bind(in.Schema())
-	return selBitmapCmps(in, bp.Cmps(), bp.Clauses(), par)
-}
-
-// selBitmapCmps is batchSelBitmap over pre-compiled conjuncts/clauses whose
-// indexes refer to the relation's own layout — the chained pipeline remaps a
-// batch-schema compile through its projection and evaluates here, sharing
-// every dense kernel.
-func selBitmapCmps(in *storage.Relation, cmps []algebra.BoundCmp, clauses [][]algebra.BoundCmp, par storage.Par) *Bitmap {
+	cmps, clauses := bp.Cmps(), bp.Clauses()
 	n := in.Len()
 	bm := NewBitmap(n)
 	if len(cmps) == 0 && len(clauses) == 0 {
@@ -251,8 +243,8 @@ func applyTest(bm *Bitmap, first bool, lo, hi int, test func(i int) bool) {
 // applyArithCmpRange applies a conjunct with at least one arithmetic side
 // over [lo, hi): each arithmetic side evaluates into a dense float64 lane
 // (typed vectors feed the lane with no tuple loads — the columnar compile of
-// arithmetic predicates), and the comparison reproduces the row engine's
-// Value.Compare. An arithmetic result is a Float, so float-vs-float pairs run
+// arithmetic predicates), and the comparison reproduces Value.Compare over
+// the row values. An arithmetic result is a Float, so float-vs-float pairs run
 // the dense NaN-class compare and mixed pairs go through Value.Compare with
 // the exact row value (kind preserved).
 func applyArithCmpRange(bm *Bitmap, first bool, c algebra.BoundCmp, cv *storage.ColView, rows []algebra.Tuple, lo, hi int) {
@@ -573,8 +565,7 @@ func cmpFloat(a, b float64) int {
 // Gather: selection bitmap → output relation (with fused projection).
 
 // gatherProject emits the selected rows projected to the target schema, in
-// ascending row order. Identical schemas alias the input tuples, exactly as
-// the row filter does.
+// ascending row order. Identical schemas alias the input tuples.
 func gatherProject(in *storage.Relation, bm *Bitmap, target algebra.Schema, par storage.Par) *storage.Relation {
 	rows := in.Rows()
 	same := schemaEqual(in.Schema(), target)
@@ -619,13 +610,6 @@ func gatherProject(in *storage.Relation, bm *Bitmap, target algebra.Schema, par 
 		out.Append(row)
 	})
 	return out
-}
-
-// filterProjectB is the fused batch select: predicate over column vectors
-// into a selection bitmap, then one gather pass straight into the target
-// schema — no intermediate filtered relation.
-func filterProjectB(in *storage.Relation, pred algebra.Pred, target algebra.Schema, par storage.Par) *storage.Relation {
-	return gatherProject(in, batchSelBitmap(in, pred, par), target, par)
 }
 
 // ---------------------------------------------------------------------------
@@ -724,8 +708,8 @@ type residualPred struct {
 
 // compileResidual binds the residual conjuncts and clauses against the l++r
 // layout and splits each side reference to its source tuple, so evaluation
-// never materializes the concatenated row. Semantics equal the row engine's
-// res.Eval(l++r) by construction (same Bind, same Value.Compare).
+// never materializes the concatenated row. Semantics equal res.Eval(l++r) by
+// construction (same Bind, same Value.Compare).
 func compileResidual(residual []algebra.Cmp, clauses [][]algebra.Cmp, outSchema algebra.Schema, lWidth int, buildIsLeft bool) *residualPred {
 	if len(residual) == 0 && len(clauses) == 0 {
 		return nil
@@ -807,19 +791,20 @@ func (rp *residualPred) eval(bt, pt algebra.Tuple) bool {
 	return true
 }
 
-// hashJoinB is the batch hash join with fused projection: it keys on cached
-// hash columns (computed once per relation version), builds index buckets in
+// hashJoinB is the hash join with fused projection: it keys on cached hash
+// columns (computed once per relation version), builds index buckets in
 // build-row order, probes in probe order, and emits rows directly in the
-// target schema, gathering values from the original side tuples. Output is
-// byte-identical to projectToP(hashJoin…(l, r, pred), target) for the same
-// orientation. No equi-conjunct falls back to the row nested loop.
+// target schema, gathering values from the original side tuples. With no
+// equi-conjunct it runs nested loops instead: l is the outer side and every
+// r row, in order, is a candidate for every l row.
 func hashJoinB(l, r *storage.Relation, pred algebra.Pred, buildIsLeft bool, target algebra.Schema, par storage.Par) *storage.Relation {
 	par = par.Norm()
 	ls, rs := l.Schema(), r.Schema()
 	outSchema := ls.Concat(rs)
 	lCols, rCols, residual := splitJoinPred(pred, ls, rs)
-	if len(lCols) == 0 {
-		return projectToP(hashJoinPlanned(l, r, pred, buildIsLeft, par), target, par)
+	nested := len(lCols) == 0
+	if nested {
+		buildIsLeft = false // the outer loop walks the probe side
 	}
 	build, bCols := l, lCols
 	probe, pCols := r, rCols
@@ -827,12 +812,19 @@ func hashJoinB(l, r *storage.Relation, pred algebra.Pred, buildIsLeft bool, targ
 		build, bCols = r, rCols
 		probe, pCols = l, lCols
 	}
-	bh := build.ColView().KeyHashes(bCols, par)
-	ph := probe.ColView().KeyHashes(pCols, par)
 	res := compileResidual(residual, pred.Clauses, outSchema, len(ls), buildIsLeft)
 	spec := joinGatherSpec(target, outSchema, len(ls), buildIsLeft)
 
 	bRows, pRows := build.Rows(), probe.Rows()
+	var bh, ph []uint64
+	if nested {
+		// Every pair is a candidate: all rows share hash 0, so the one
+		// bucket holds every build row in order.
+		bh, ph = make([]uint64, len(bRows)), make([]uint64, len(pRows))
+	} else {
+		bh = build.ColView().KeyHashes(bCols, par)
+		ph = probe.ColView().KeyHashes(pCols, par)
+	}
 	buckets := make(map[uint64][]int32, len(bRows))
 	for i := range bRows {
 		h := bh[i]
@@ -885,11 +877,19 @@ func hashJoinB(l, r *storage.Relation, pred algebra.Pred, buildIsLeft bool, targ
 // ---------------------------------------------------------------------------
 // Aggregation and dedup over cached hash columns.
 
-// buildAggTableB is buildAggTableP keyed on the cached group-hash column, so
-// a relation version aggregated twice (or aggregated after being joined on
-// the same columns) never rehashes. State equals the sequential build's.
+// buildAggTableB computes mergeable aggregation state keyed on the cached
+// group-hash column, so a relation version aggregated twice (or aggregated
+// after being joined on the same columns) never rehashes. Large inputs build
+// partition-wise partial tables: rows are partitioned on the group-key hash,
+// each partition absorbs its rows into a private AggTable, and the partials
+// merge in fixed partition order. Group keys are disjoint across partitions
+// (same key ⇒ same hash ⇒ same partition), so the merge is pure adoption and
+// the final state equals the sequential build's.
 func buildAggTableB(in *storage.Relation, groupBy []algebra.ColRef, specs []algebra.AggSpec, out algebra.Schema, par storage.Par, hint int) *AggTable {
 	par = par.Norm()
+	// The hint is an optimizer estimate and can be wildly high (cardinality
+	// products); there can never be more groups than input rows, so clamp
+	// before it reaches a map pre-size.
 	if hint > in.Len() {
 		hint = in.Len()
 	}
@@ -921,14 +921,14 @@ func buildAggTableB(in *storage.Relation, groupBy []algebra.ColRef, specs []alge
 	return at
 }
 
-// dedupB is dedup over the cached full-tuple hash column (the PartView hash
-// array): parallel inputs use the keep-mask dedupP, sequential ones walk the
-// rows once with cached hashes. First occurrences survive in order either
-// way — byte-identical to dedup.
+// dedupB eliminates duplicates over the cached full-tuple hash column (the
+// PartView hash array), confirming equality on collision: parallel inputs
+// use the keep-mask dedupP, sequential ones walk the rows once with cached
+// hashes. First occurrences survive in order either way.
 func dedupB(in *storage.Relation, par storage.Par) *storage.Relation {
 	par = par.Norm()
 	if in.Len() == 0 {
-		return dedup(in)
+		return storage.NewRelation(in.Schema())
 	}
 	if par.Enabled() && in.Len() >= storage.ParMinRows {
 		return dedupP(in, par)
@@ -956,71 +956,39 @@ func dedupB(in *storage.Relation, par storage.Par) *storage.Relation {
 }
 
 // ---------------------------------------------------------------------------
-// Engine dispatch: the single entry points the plan interpreters call.
+// Operator entry points the plan interpreters call, each finishing with the
+// projection to the operator's target schema.
 
-// execSelect routes select + projection through the configured engine.
+// execSelect is the fused select: predicate over column vectors into a
+// selection bitmap, then one gather pass straight into the target schema —
+// no intermediate filtered relation.
 func execSelect(in *storage.Relation, pred algebra.Pred, target algebra.Schema, par storage.Par) *storage.Relation {
-	if par.Batch {
-		return filterProjectB(in, pred, target, par)
-	}
-	return projectToP(filterRelP(in, pred, par), target, par)
+	return gatherProject(in, batchSelBitmap(in, pred, par), target, par)
 }
 
-// execJoinSized routes a size-oriented join (build on the smaller input —
-// the differential-plan rule) through the configured engine.
+// execJoinSized is a join oriented by size: build on the smaller input
+// (the differential-plan rule), left on ties.
 func execJoinSized(l, r *storage.Relation, pred algebra.Pred, target algebra.Schema, par storage.Par) *storage.Relation {
-	if par.Batch {
-		return hashJoinB(l, r, pred, !(r.Len() < l.Len()), target, par)
-	}
-	return projectToP(hashJoinP(l, r, pred, par), target, par)
+	return hashJoinB(l, r, pred, !(r.Len() < l.Len()), target, par)
 }
 
-// execJoinPlanned routes a plan-oriented join (build side fixed by the
-// optimizer, see BuildLeftFromPlan) through the configured engine.
-func execJoinPlanned(l, r *storage.Relation, pred algebra.Pred, buildIsLeft bool, target algebra.Schema, par storage.Par) *storage.Relation {
-	if par.Batch {
-		return hashJoinB(l, r, pred, buildIsLeft, target, par)
-	}
-	return projectToP(hashJoinPlanned(l, r, pred, buildIsLeft, par), target, par)
-}
-
-// execAgg routes a from-scratch aggregation through the configured engine.
+// execAgg is a from-scratch aggregation.
 func execAgg(in *storage.Relation, op *dag.Op, target algebra.Schema, par storage.Par, hint int) *storage.Relation {
-	if par.Batch {
-		return projectToP(buildAggTableB(in, op.GroupBy, op.Aggs, target, par, hint).Rows(), target, par)
-	}
-	return projectToP(aggregateP(in, op, target, par, hint), target, par)
+	return projectToP(buildAggTableB(in, op.GroupBy, op.Aggs, target, par, hint).Rows(), target, par)
 }
 
-// execBuildAgg routes mergeable aggregate-state construction (materialized
-// aggregate roots) through the configured engine.
-func execBuildAgg(in *storage.Relation, groupBy []algebra.ColRef, specs []algebra.AggSpec, out algebra.Schema, par storage.Par, hint int) *AggTable {
-	if par.Batch {
-		return buildAggTableB(in, groupBy, specs, out, par, hint)
-	}
-	return buildAggTableP(in, groupBy, specs, out, par, hint)
-}
-
-// execUnion routes a union through the engine (shared row path: union is a
-// pure concatenation either way).
+// execUnion is a multiset union: a pure concatenation.
 func execUnion(l, r *storage.Relation, target algebra.Schema, par storage.Par) *storage.Relation {
 	return projectToP(unionAllP(l, r, par), target, par)
 }
 
-// execMinus routes a multiset difference through the configured engine; the
-// batch path goes through the keep-mask/hash-carry ParMinusCOW even at one
-// partition.
+// execMinus is a multiset difference through the keep-mask/hash-carry
+// ParMinusCOW, even at one partition.
 func execMinus(l, r *storage.Relation, target algebra.Schema, par storage.Par) *storage.Relation {
-	if par.Batch {
-		return projectToP(storage.ParMinusCOW(l, projectToP(r, l.Schema(), par), par), target, par)
-	}
-	return projectToP(minusP(l, r, par), target, par)
+	return projectToP(storage.ParMinusCOW(l, projectToP(r, l.Schema(), par), par), target, par)
 }
 
-// execDedup routes duplicate elimination through the configured engine.
+// execDedup is duplicate elimination.
 func execDedup(in *storage.Relation, target algebra.Schema, par storage.Par) *storage.Relation {
-	if par.Batch {
-		return projectToP(dedupB(in, par), target, par)
-	}
-	return projectToP(dedupP(in, par), target, par)
+	return projectToP(dedupB(in, par), target, par)
 }

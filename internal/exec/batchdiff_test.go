@@ -1,10 +1,10 @@
 package exec_test
 
 // In-package-coverage companion to internal/exec/equivtest: the same
-// differential-oracle discipline (row engine as reference, batch and
-// partitioned configurations must reproduce it byte-for-byte) driven from
-// the executor's external test package so the batch kernels' coverage is
-// attributed to internal/exec itself. The equivtest package holds the
+// differential-oracle discipline (the reference evaluator equivtest.Eval as
+// the oracle, every partition configuration must reproduce it byte-for-byte)
+// driven from the executor's external test package so the kernels' coverage
+// is attributed to internal/exec itself. The equivtest package holds the
 // harness; this file holds compact operator sweeps plus the dense-path
 // corner cases (uniform typed columns, column-vs-column comparisons,
 // word-aligned parallel bitmap fills) that the randomized sweeps only hit
@@ -22,8 +22,8 @@ import (
 	"repro/internal/storage"
 )
 
-// lowParMinRows engages the parallel and batch kernels on small test inputs,
-// restoring the production threshold afterwards.
+// lowParMinRows engages the parallel kernels on small test inputs, restoring
+// the production threshold afterwards.
 func lowParMinRows(t *testing.T) {
 	t.Helper()
 	prev := storage.ParMinRows
@@ -31,16 +31,14 @@ func lowParMinRows(t *testing.T) {
 	t.Cleanup(func() { storage.ParMinRows = prev })
 }
 
-// checkAll evaluates node in every engine configuration against the row
+// checkAll evaluates node in every partition configuration against the
 // oracle.
 func checkAll(t *testing.T, trial int, cat *catalog.Catalog, db *storage.Database,
 	node algebra.Node, sorted bool) {
 	t.Helper()
 	d := dag.New(cat)
 	root := d.AddQuery("q", node)
-	oracle := exec.NewExecutor(db)
-	oracle.Par = equivtest.Oracle().Par
-	want := oracle.EvalNode(root)
+	want := equivtest.Eval(db, root)
 	for _, m := range equivtest.Modes() {
 		ex := exec.NewExecutor(db)
 		ex.Par = m.Par

@@ -1,10 +1,10 @@
 // Package equivtest is the differential-oracle harness for the operator
-// engines: it evaluates the same operator trees through the row engine, the
-// partition-parallel row engine, and the vectorized batch engine (sequential
-// and partitioned), and asserts the outputs are BYTE-identical — same rows,
+// engine: it evaluates operator trees through the engine (internal/exec) at
+// one, four and seven partitions and through the sequential reference
+// evaluator Eval, and asserts the outputs are BYTE-identical — same rows,
 // same order, bit-equal values (so -0.0 vs 0.0 and NaN payloads are
-// distinguished, which multiset equality cannot do). The row engine is the
-// oracle; every other configuration must reproduce it exactly.
+// distinguished, which multiset equality cannot do). Eval is the oracle; the
+// engine must reproduce it exactly at every partition count.
 package equivtest
 
 import (
@@ -23,22 +23,13 @@ type Mode struct {
 	Par  storage.Par
 }
 
-// Oracle is the reference configuration: the sequential row engine.
-func Oracle() Mode { return Mode{Name: "row", Par: storage.Par{}} }
-
-// Modes returns every non-oracle configuration that must reproduce the
-// oracle byte-for-byte: the partitioned row engine, the batch engine, and
-// the chained columnar pipeline engine, each at one, four and seven
-// partitions.
+// Modes returns the engine configurations that must reproduce the oracle
+// byte-for-byte: sequential, and four and seven partitions.
 func Modes() []Mode {
 	return []Mode{
-		{Name: "row-p4", Par: storage.Par{Partitions: 4, Workers: 4}},
-		{Name: "batch", Par: storage.Par{Batch: true}},
-		{Name: "batch-p4", Par: storage.Par{Partitions: 4, Workers: 4, Batch: true}},
-		{Name: "batch-p7", Par: storage.Par{Partitions: 7, Workers: 7, Batch: true}},
-		{Name: "chained", Par: storage.Par{Batch: true, Chain: true}},
-		{Name: "chained-p4", Par: storage.Par{Partitions: 4, Workers: 4, Batch: true, Chain: true}},
-		{Name: "chained-p7", Par: storage.Par{Partitions: 7, Workers: 7, Batch: true, Chain: true}},
+		{Name: "p1", Par: storage.Par{}},
+		{Name: "p4", Par: storage.Par{Partitions: 4, Workers: 4}},
+		{Name: "p7", Par: storage.Par{Partitions: 7, Workers: 7}},
 	}
 }
 
@@ -93,8 +84,7 @@ func EqualSorted(want, got *storage.Relation) error {
 // colTypes is the type pool random schemas draw from.
 var colTypes = []catalog.Type{catalog.Int, catalog.Float, catalog.String, catalog.Date}
 
-// trickyFloats are the float payloads that distinguish the engines' float
-// handling: NaN (a singleton ordered before every numeric), signed zeros
+// trickyFloats are the float payloads that stress float handling: NaN (a singleton ordered before every numeric), signed zeros
 // (equal but not bit-equal), and ordinary values.
 var trickyFloats = []float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, -3.25, 42, 99.5}
 

@@ -43,9 +43,7 @@ func TestNaNOrderedBeforeNumerics(t *testing.T) {
 				algebra.NewScan(cat, "f"))
 			d := dag.New(cat)
 			root := d.AddQuery("q", node)
-			oracle := exec.NewExecutor(db)
-			oracle.Par = Oracle().Par
-			want := oracle.EvalNode(root)
+			want := Eval(db, root)
 			for _, m := range Modes() {
 				ex := exec.NewExecutor(db)
 				ex.Par = m.Par
@@ -63,9 +61,7 @@ func TestNaNOrderedBeforeNumerics(t *testing.T) {
 		algebra.Pred{Conjuncts: []algebra.Cmp{algebra.CmpConst("f.x", algebra.LT, algebra.NewFloat(5))}},
 		algebra.NewScan(cat, "f"))
 	d := dag.New(cat)
-	ex := exec.NewExecutor(db)
-	ex.Par = storage.Par{Batch: true}
-	got := ex.EvalNode(d.AddQuery("q", node))
+	got := Eval(db, d.AddQuery("q", node))
 	if got.Len() != 6 { // NaN, -1, -0.0, 0, 1, NaN
 		t.Errorf("x < 5 over %v: want 6 rows (NaNs order before numerics), got %d", vals, got.Len())
 	}
@@ -81,9 +77,7 @@ func TestSignedZeroSurvivesBitExact(t *testing.T) {
 		algebra.NewScan(cat, "f"))
 	d := dag.New(cat)
 	root := d.AddQuery("q", node)
-	ex := exec.NewExecutor(db)
-	ex.Par = storage.Par{Batch: true}
-	got := ex.EvalNode(root)
+	got := exec.NewExecutor(db).EvalNode(root)
 	if got.Len() != 2 {
 		t.Fatalf("EQ 0 filter: want 2 rows, got %d", got.Len())
 	}

@@ -1,10 +1,9 @@
 package equivtest
 
-// Per-operator differential-oracle tests: every operator kernel evaluated in
-// row, parallel-row, batch, and parallel-batch configurations over
-// randomized schemas and data, asserting byte-identical output against the
-// sequential row oracle (sorted-multiset identity for aggregates, whose row
-// order follows map iteration).
+// Per-operator differential-oracle tests: every operator kernel evaluated at
+// one, four and seven partitions over randomized schemas and data, asserting
+// byte-identical output against the reference evaluator (sorted-multiset
+// identity for aggregates, whose row order follows map iteration).
 
 import (
 	"math/rand"
@@ -18,12 +17,12 @@ import (
 )
 
 func init() {
-	// Engage the partition-parallel and batch-parallel kernels on the small
-	// randomized inputs (the production threshold is tuned for real data).
+	// Engage the partition-parallel kernels on the small randomized inputs
+	// (the production threshold is tuned for real data).
 	storage.ParMinRows = 16
 }
 
-// checkNode evaluates node in every configuration against the row oracle.
+// checkNode evaluates node in every configuration against the oracle.
 // sorted selects the aggregate comparison (sorted multiset) over strict byte
 // identity.
 func checkNode(t *testing.T, trial int, cat *catalog.Catalog, db *storage.Database,
@@ -31,9 +30,7 @@ func checkNode(t *testing.T, trial int, cat *catalog.Catalog, db *storage.Databa
 	t.Helper()
 	d := dag.New(cat)
 	root := d.AddQuery("q", node)
-	oracle := exec.NewExecutor(db)
-	oracle.Par = Oracle().Par
-	want := oracle.EvalNode(root)
+	want := Eval(db, root)
 	for _, m := range Modes() {
 		ex := exec.NewExecutor(db)
 		ex.Par = m.Par
@@ -98,9 +95,8 @@ func randClause(rng *rand.Rand, tb Table) []algebra.Cmp {
 
 // TestFilterDisjunctionEquivalence: OR-of-comparisons selections — clauses
 // alone and clauses ANDed with conjuncts — must agree bit-for-bit between
-// the row oracle and the vectorized batch engine (which evaluates every
-// clause in a single dense pass through a scratch bitmap, never falling back
-// to per-row evaluation).
+// the oracle and the engine (which evaluates every clause in a single dense
+// pass through a scratch bitmap, never falling back to per-row evaluation).
 func TestFilterDisjunctionEquivalence(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(int64(2100 + trial)))
@@ -144,10 +140,9 @@ func TestHashJoinEquivalence(t *testing.T) {
 }
 
 // TestHashJoinDisjunctiveResidualEquivalence: an equi-join whose residual
-// carries an OR-of-comparisons clause spanning both sides — the batch
-// engine's two-sided residual compiler must apply clause semantics (any
-// alternative passes), identically to the row oracle's Eval over the
-// concatenated row.
+// carries an OR-of-comparisons clause spanning both sides — the engine's
+// two-sided residual compiler must apply clause semantics (any alternative
+// passes), identically to the oracle's evaluation over the concatenated row.
 func TestHashJoinDisjunctiveResidualEquivalence(t *testing.T) {
 	ops := []algebra.CmpOp{algebra.NE, algebra.LT, algebra.LE, algebra.GT, algebra.GE}
 	for trial := 0; trial < 60; trial++ {
@@ -184,7 +179,7 @@ func TestHashJoinDisjunctiveResidualEquivalence(t *testing.T) {
 }
 
 func TestNestedLoopJoinEquivalence(t *testing.T) {
-	// No equi-conjunct: both engines fall back to the nested loop.
+	// No equi-conjunct: the engine and the oracle both run nested loops.
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(700 + trial)))
 		cat, db := catalog.New(), storage.NewDatabase()

@@ -1,14 +1,12 @@
 package equivtest
 
-// Chained-pipeline differential-oracle tests: multi-operator trees evaluated
-// end to end, so the chained engine's batches actually flow across operator
-// boundaries (selection vectors composing under projection, column-backed
-// join outputs feeding further joins, dedups and aggregations) before the
-// single sink-side gather. Every configuration of Modes() — including the
-// chained engine at one, four and seven partitions — must reproduce the
-// sequential row oracle byte-for-byte (sorted multiset for aggregate roots).
+// Multi-operator differential-oracle tests: operator trees evaluated end to
+// end, so one operator's output — a filtered, projected or joined relation
+// with its own lazily built column and hash caches — feeds the next join,
+// dedup or aggregation. Every configuration of Modes() must reproduce the
+// reference evaluator byte-for-byte (sorted multiset for aggregate roots).
 // Arithmetic predicates, NaN/-0.0 specials and mixed-kind (RepMixed) columns
-// ride through every chain.
+// ride through every tree.
 
 import (
 	"math/rand"
@@ -71,8 +69,8 @@ func randArithPred(rng *rand.Rand, tb Table) algebra.Pred {
 	return algebra.Pred{Conjuncts: conj}
 }
 
-// TestPipelineFilterJoinAggEquivalence: select → join → aggregate as one
-// chain, the canonical refresh pipeline shape. NaN-free whole-number data
+// TestPipelineFilterJoinAggEquivalence: select → join → aggregate, the
+// canonical refresh pipeline shape. NaN-free whole-number data
 // keeps sums exact for the sorted comparison.
 func TestPipelineFilterJoinAggEquivalence(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
@@ -98,10 +96,10 @@ func TestPipelineFilterJoinAggEquivalence(t *testing.T) {
 	}
 }
 
-// TestPipelineJoinJoinDedupEquivalence: join → join → dedup as one chain, so
-// a column-backed join output is itself the build or probe side of the next
-// join and the dedup keys on a column-backed batch's hash fold. Tricky
-// floats (NaN, -0.0) flow through every boundary.
+// TestPipelineJoinJoinDedupEquivalence: join → join → dedup, so a join
+// output is itself the build or probe side of the next join and the dedup
+// hashes a join output. Tricky floats (NaN, -0.0) flow through every
+// boundary.
 func TestPipelineJoinJoinDedupEquivalence(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(3300 + trial)))
@@ -121,10 +119,8 @@ func TestPipelineJoinJoinDedupEquivalence(t *testing.T) {
 }
 
 // TestPipelineArithFilterEquivalence: arithmetic predicates evaluated by the
-// dense float lanes (unfiltered relation-backed batches), the row-at-a-time
-// remap path (already-selected batches: the second select of the chain) and
-// the batch-value path (column-backed join outputs) must all match the
-// oracle.
+// dense float lanes, over a base relation and over the output of a first
+// select, must match the oracle.
 func TestPipelineArithFilterEquivalence(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(int64(3500 + trial)))
@@ -138,8 +134,7 @@ func TestPipelineArithFilterEquivalence(t *testing.T) {
 
 // TestPipelineArithJoinResidualEquivalence: an equi-join whose residual
 // conjunct carries arithmetic spanning both sides — the two-sided residual
-// compiler resolves arithmetic leaves per side, over row tuples and batch
-// values alike.
+// compiler resolves arithmetic leaves per side.
 func TestPipelineArithJoinResidualEquivalence(t *testing.T) {
 	ops := []algebra.CmpOp{algebra.NE, algebra.LT, algebra.LE, algebra.GT, algebra.GE}
 	for trial := 0; trial < 40; trial++ {
@@ -191,7 +186,7 @@ func mixedTable(rng *rand.Rand, cat *catalog.Catalog, db *storage.Database, name
 	return Table{Name: name, Cols: cols}
 }
 
-// TestPipelineMixedRepEquivalence: chains over RepMixed columns — filtering,
+// TestPipelineMixedRepEquivalence: trees over RepMixed columns — filtering,
 // joining ON the mixed column (mixed-kind key hashing), arithmetic over it
 // (AsFloat coercion of strings and dates) and dedup — stay byte-identical.
 func TestPipelineMixedRepEquivalence(t *testing.T) {

@@ -91,12 +91,9 @@ func (mt *Maintainer) Rebind(en *diff.Engine, ev *diff.Eval) {
 
 // EvalNode computes a node's result from base relations only (no reuse of
 // materialized state), following the natural operation of each equivalence
-// node. It is the reference evaluator used for recomputation fallbacks and
-// for verifying maintained results.
+// node. Recomputation fallbacks and the runtime's verification of
+// maintained results both use it.
 func (ex *Executor) EvalNode(e *dag.Equiv) *storage.Relation {
-	if ex.Par.Chain {
-		return ex.evalNodeC(e).Materialize(e.Schema, ex.Par)
-	}
 	op := e.Ops[0]
 	par := ex.Par
 	switch op.Kind {
@@ -121,36 +118,6 @@ func (ex *Executor) EvalNode(e *dag.Equiv) *storage.Relation {
 	}
 }
 
-// evalNodeC mirrors EvalNode arm-for-arm over batches: the whole
-// recomputation pipeline stays columnar, gathering to rows only at the
-// EvalNode sink.
-func (ex *Executor) evalNodeC(e *dag.Equiv) *Batch {
-	op := e.Ops[0]
-	par := ex.Par
-	switch op.Kind {
-	case dag.OpScan:
-		return batchOf(ex.DB.MustRelation(op.Table)).project(e.Schema, par)
-	case dag.OpSelect:
-		return chainSelect(ex.evalNodeC(op.Children[0]), op.Pred, e.Schema, par)
-	case dag.OpProject:
-		return ex.evalNodeC(op.Children[0]).project(e.Schema, par)
-	case dag.OpJoin:
-		l := ex.evalNodeC(op.Children[0])
-		r := ex.evalNodeC(op.Children[1])
-		return chainJoin(l, r, op.Pred, !(r.Len() < l.Len()), e.Schema, par)
-	case dag.OpAggregate:
-		return chainAgg(ex.evalNodeC(op.Children[0]), op, e.Schema, par, ex.sizeHint(e))
-	case dag.OpUnion:
-		return chainConcat([]*Batch{ex.evalNodeC(op.Children[0]), ex.evalNodeC(op.Children[1])}, e.Schema, par)
-	case dag.OpMinus:
-		return chainMinus(ex.evalNodeC(op.Children[0]), ex.evalNodeC(op.Children[1]), e.Schema, par)
-	case dag.OpDedup:
-		return chainDedup(ex.evalNodeC(op.Children[0]), e.Schema, par)
-	default:
-		panic("exec: unexpected op kind " + op.Kind.String())
-	}
-}
-
 // MaterializeNode computes e from base relations and stores it (capturing
 // mergeable aggregate state when e is an aggregate). A base-table node is
 // "materialized" as an alias of the base relation itself: applying the base
@@ -162,12 +129,7 @@ func (ex *Executor) MaterializeNode(e *dag.Equiv) *storage.Relation {
 	}
 	op := e.Ops[0]
 	if op.Kind == dag.OpAggregate {
-		var at *AggTable
-		if ex.Par.Chain {
-			at = chainBuildAgg(ex.evalNodeC(op.Children[0]), op.GroupBy, op.Aggs, e.Schema, ex.Par, ex.sizeHint(e))
-		} else {
-			at = execBuildAgg(ex.EvalNode(op.Children[0]), op.GroupBy, op.Aggs, e.Schema, ex.Par, ex.sizeHint(e))
-		}
+		at := buildAggTableB(ex.EvalNode(op.Children[0]), op.GroupBy, op.Aggs, e.Schema, ex.Par, ex.sizeHint(e))
 		ex.Agg[e.ID] = at
 		ex.Mat[e.ID] = projectToP(at.Rows(), e.Schema, ex.Par)
 	} else {
@@ -309,7 +271,7 @@ func (mt *Maintainer) refreshOne(i int) {
 			}
 		}
 	} else if u.IsInsert(i) {
-		ex.DB.ApplyInsertsPar(T, ex.Par)
+		ex.DB.ApplyInsertsExtend(T)
 	} else {
 		ex.DB.ApplyDeletesPar(T, ex.Par)
 	}
@@ -340,7 +302,7 @@ func (mt *Maintainer) refreshOne(i int) {
 			if cow {
 				ex.Mat[pm.e.ID] = storage.UnionCOW(ex.Mat[pm.e.ID], delta)
 			} else {
-				ex.Mat[pm.e.ID].InsertAllPar(delta, ex.Par)
+				ex.Mat[pm.e.ID].InsertAllExtend(delta)
 			}
 		default:
 			delta := projectToP(pm.task.result(), pm.e.Schema, ex.Par)

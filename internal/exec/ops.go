@@ -18,7 +18,6 @@ import (
 	"math"
 
 	"repro/internal/algebra"
-	"repro/internal/dag"
 	"repro/internal/storage"
 )
 
@@ -26,15 +25,13 @@ import (
 // carved out of shared blocks instead of one make per row. Blocks grow
 // geometrically from the first row's exact size (capped at 8192 values), so
 // a tiny differential result does not pin a large block — carved rows escape
-// into retained relations and keep their whole block reachable. Only the
-// most recent row may be returned with undo.
+// into retained relations and keep their whole block reachable.
 type tupleArena struct {
 	buf  []algebra.Value
 	next int // capacity of the next block
 }
 
-// alloc carves a row of n values. The region may hold stale values from an
-// undone row — callers must write every slot.
+// alloc carves a row of n values; callers must write every slot.
 func (a *tupleArena) alloc(n int) algebra.Tuple {
 	if cap(a.buf)-len(a.buf) < n {
 		sz := a.next
@@ -50,24 +47,6 @@ func (a *tupleArena) alloc(n int) algebra.Tuple {
 	row := a.buf[len(a.buf) : len(a.buf)+n : len(a.buf)+n]
 	a.buf = a.buf[:len(a.buf)+n]
 	return row
-}
-
-// undo releases the most recent alloc(n) (used when a row fails a residual
-// predicate and never escapes).
-func (a *tupleArena) undo(n int) {
-	a.buf = a.buf[:len(a.buf)-n]
-}
-
-// filterRel applies a predicate, bound once against the input schema.
-func filterRel(in *storage.Relation, pred algebra.Pred) *storage.Relation {
-	out := storage.NewRelation(in.Schema())
-	bp := pred.Bind(in.Schema())
-	for _, t := range in.Rows() {
-		if bp.Eval(t) {
-			out.Append(t)
-		}
-	}
-	return out
 }
 
 // projectTo reorders/subsets columns of in to match the target schema,
@@ -125,107 +104,6 @@ func splitJoinPred(pred algebra.Pred, ls, rs algebra.Schema) (lCols, rCols []int
 		residual = append(residual, c)
 	}
 	return
-}
-
-// hashJoin joins two relations under a conjunctive predicate, probing with
-// precomputed column-subset hashes and confirming key equality on collision.
-// The hash table is built on the smaller input (the differential side of a
-// maintenance join is usually tiny) and probed with the larger; output rows
-// always keep the l++r column layout. With no equi-conjunct it degrades to
-// nested loops.
-func hashJoin(l, r *storage.Relation, pred algebra.Pred) *storage.Relation {
-	ls, rs := l.Schema(), r.Schema()
-	outSchema := ls.Concat(rs)
-	out := storage.NewRelation(outSchema)
-	lCols, rCols, residual := splitJoinPred(pred, ls, rs)
-	hasResidual := len(residual) > 0 || pred.HasClauses()
-	var res algebra.BoundPred
-	if hasResidual {
-		res = algebra.Pred{Conjuncts: residual, Clauses: pred.Clauses}.Bind(outSchema)
-	}
-
-	var arena tupleArena
-	emit := func(lt, rt algebra.Tuple) {
-		row := arena.alloc(len(lt) + len(rt))
-		copy(row, lt)
-		copy(row[len(lt):], rt)
-		if !hasResidual || res.Eval(row) {
-			out.Append(row)
-		} else {
-			arena.undo(len(row))
-		}
-	}
-	if len(lCols) == 0 {
-		for _, lt := range l.Rows() {
-			for _, rt := range r.Rows() {
-				emit(lt, rt)
-			}
-		}
-		return out
-	}
-	build, bCols := l, lCols
-	probe, pCols := r, rCols
-	buildIsLeft := true
-	if r.Len() < l.Len() {
-		build, bCols = r, rCols
-		probe, pCols = l, lCols
-		buildIsLeft = false
-	}
-	buckets := make(map[uint64][]algebra.Tuple, build.Len())
-	for _, bt := range build.Rows() {
-		h := bt.HashCols(bCols)
-		buckets[h] = append(buckets[h], bt)
-	}
-	for _, pt := range probe.Rows() {
-		for _, bt := range buckets[pt.HashCols(pCols)] {
-			if !algebra.EqualOn(pt, pCols, bt, bCols) {
-				continue // hash collision across distinct keys
-			}
-			if buildIsLeft {
-				emit(bt, pt)
-			} else {
-				emit(pt, bt)
-			}
-		}
-	}
-	return out
-}
-
-// unionAll concatenates two compatible relations (column order of the first).
-func unionAll(l, r *storage.Relation) *storage.Relation {
-	out := l.Clone()
-	out.InsertAll(projectTo(r, l.Schema()))
-	return out
-}
-
-// minus computes multiset difference l − r.
-func minus(l, r *storage.Relation) *storage.Relation {
-	out := l.Clone()
-	out.SubtractAll(projectTo(r, l.Schema()))
-	return out
-}
-
-// dedup eliminates duplicates via the typed tuple hash, confirming equality
-// on collision.
-func dedup(in *storage.Relation) *storage.Relation {
-	out := storage.NewRelation(in.Schema())
-	seen := make(map[uint64][]algebra.Tuple, in.Len())
-	for _, t := range in.Rows() {
-		h := t.Hash()
-		bucket := seen[h]
-		dup := false
-		for _, prev := range bucket {
-			if prev.Equal(t) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			seen[h] = append(bucket, t)
-			out.Append(t)
-		}
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -384,93 +262,6 @@ func (at *AggTable) absorbOne(h uint64, t algebra.Tuple, sign int64) (minMaxDirt
 	return minMaxDirty
 }
 
-// absorbColsOne is absorbOne over a column-major input: keys[k][i] is the
-// k-th group-by column and aggs[s][i] the s-th spec's source column (nil for
-// COUNT) at logical row i. The chained pipeline folds batches into the state
-// through it without ever building a row tuple; every state transition
-// matches absorbOne's exactly.
-func (at *AggTable) absorbColsOne(h uint64, i int, keys, aggs [][]algebra.Value, sign int64) (minMaxDirty bool) {
-	chain := at.groups[h]
-	var g *groupState
-	gi := -1
-	for ci, cand := range chain {
-		if cand.keyMatchesCols(keys, i) {
-			g, gi = cand, ci
-			break
-		}
-	}
-	if g == nil {
-		g = &groupState{accs: make([]aggAcc, len(at.specs))}
-		g.keyVals = make(algebra.Tuple, len(keys))
-		for k := range keys {
-			g.keyVals[k] = keys[k][i]
-		}
-		for s := range g.accs {
-			g.accs[s].min = math.Inf(1)
-			g.accs[s].max = math.Inf(-1)
-		}
-		at.groups[h] = append(chain, g)
-		gi = len(chain)
-		at.n++
-	}
-	g.rows += sign
-	for s, spec := range at.specs {
-		acc := &g.accs[s]
-		var v float64
-		if aggs[s] != nil {
-			v = aggs[s][i].AsFloat()
-		}
-		switch spec.Func {
-		case algebra.Count:
-			acc.cnt += sign
-		case algebra.Sum, algebra.Avg:
-			acc.sum += float64(sign) * v
-			acc.cnt += sign
-		case algebra.Min:
-			if sign > 0 {
-				if v < acc.min {
-					acc.min = v
-				}
-			} else if v <= acc.min {
-				minMaxDirty = true
-			}
-			acc.cnt += sign
-		case algebra.Max:
-			if sign > 0 {
-				if v > acc.max {
-					acc.max = v
-				}
-			} else if v >= acc.max {
-				minMaxDirty = true
-			}
-			acc.cnt += sign
-		}
-	}
-	if g.rows <= 0 {
-		chain := at.groups[h]
-		chain[gi] = chain[len(chain)-1]
-		chain = chain[:len(chain)-1]
-		if len(chain) == 0 {
-			delete(at.groups, h)
-		} else {
-			at.groups[h] = chain
-		}
-		at.n--
-	}
-	return minMaxDirty
-}
-
-// keyMatchesCols reports whether the group's key equals the group-by columns
-// at logical row i of a column-major input.
-func (g *groupState) keyMatchesCols(keys [][]algebra.Value, i int) bool {
-	for k := range keys {
-		if !g.keyVals[k].Equal(keys[k][i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // merge adopts every group of another table built over the same operation.
 // The caller guarantees group-key disjointness (hash-partitioned inputs:
 // partitions own disjoint hash residues), so chains transfer without key
@@ -526,11 +317,4 @@ func (at *AggTable) Rows() *storage.Relation {
 		}
 	}
 	return out
-}
-
-// aggregate evaluates an aggregate operation from scratch.
-func aggregate(in *storage.Relation, op *dag.Op, out algebra.Schema) *storage.Relation {
-	at := NewAggTable(in.Schema(), op.GroupBy, op.Aggs, out)
-	at.Absorb(in, 1)
-	return at.Rows()
 }

@@ -23,10 +23,15 @@ func relOf(rel string, rows ...[2]int64) *storage.Relation {
 	return r
 }
 
+// join runs a sequential size-oriented join into the l++r layout.
+func join(l, r *storage.Relation, pred algebra.Pred) *storage.Relation {
+	return execJoinSized(l, r, pred, l.Schema().Concat(r.Schema()), storage.Par{})
+}
+
 func TestHashJoinEquiOnly(t *testing.T) {
 	l := relOf("l", [2]int64{1, 10}, [2]int64{2, 20}, [2]int64{2, 21})
 	r := relOf("r", [2]int64{2, 200}, [2]int64{3, 300})
-	out := hashJoin(l, r, algebra.And(algebra.Eq("l.k", "r.k")))
+	out := join(l, r, algebra.And(algebra.Eq("l.k", "r.k")))
 	if out.Len() != 2 {
 		t.Fatalf("want 2 matches (both l-rows with k=2), got %d", out.Len())
 	}
@@ -39,7 +44,7 @@ func TestHashJoinWithResidual(t *testing.T) {
 		algebra.Eq("l.k", "r.k"),
 		algebra.Cmp{Op: algebra.LT, L: algebra.C("l.v"), R: algebra.C("r.v")},
 	)
-	out := hashJoin(l, r, pred)
+	out := join(l, r, pred)
 	if out.Len() != 1 {
 		t.Fatalf("residual l.v<r.v should keep only (10<20): got %d rows", out.Len())
 	}
@@ -52,7 +57,7 @@ func TestHashJoinNoEquiFallsBackToNL(t *testing.T) {
 	l := relOf("l", [2]int64{1, 1}, [2]int64{2, 2})
 	r := relOf("r", [2]int64{5, 1}, [2]int64{6, 3})
 	pred := algebra.And(algebra.Cmp{Op: algebra.GT, L: algebra.C("r.v"), R: algebra.C("l.v")})
-	out := hashJoin(l, r, pred)
+	out := join(l, r, pred)
 	// pairs where r.v > l.v: (1,·)x(·,3): l.v=1 with r.v=3; l.v=2 with r.v=3. → 2
 	if out.Len() != 2 {
 		t.Fatalf("nested-loop fallback wrong: %d rows", out.Len())
@@ -63,7 +68,7 @@ func TestHashJoinDuplicateMultiplicities(t *testing.T) {
 	// Multiset semantics: duplicates multiply.
 	l := relOf("l", [2]int64{1, 1}, [2]int64{1, 1})
 	r := relOf("r", [2]int64{1, 2}, [2]int64{1, 2}, [2]int64{1, 2})
-	out := hashJoin(l, r, algebra.And(algebra.Eq("l.k", "r.k")))
+	out := join(l, r, algebra.And(algebra.Eq("l.k", "r.k")))
 	if out.Len() != 6 {
 		t.Fatalf("2×3 duplicates should give 6 rows, got %d", out.Len())
 	}
@@ -72,11 +77,11 @@ func TestHashJoinDuplicateMultiplicities(t *testing.T) {
 func TestMinusAndUnion(t *testing.T) {
 	a := relOf("t", [2]int64{1, 1}, [2]int64{1, 1}, [2]int64{2, 2})
 	b := relOf("t", [2]int64{1, 1}, [2]int64{3, 3})
-	u := unionAll(a, b)
+	u := execUnion(a, b, a.Schema(), storage.Par{})
 	if u.Len() != 5 {
 		t.Errorf("union all should concatenate: %d", u.Len())
 	}
-	m := minus(a, b)
+	m := execMinus(a, b, a.Schema(), storage.Par{})
 	if m.Len() != 2 {
 		t.Errorf("monus should remove one copy of (1,1): %d rows", m.Len())
 	}
@@ -88,7 +93,7 @@ func TestMinusAndUnion(t *testing.T) {
 
 func TestDedup(t *testing.T) {
 	a := relOf("t", [2]int64{1, 1}, [2]int64{1, 1}, [2]int64{2, 2})
-	d := dedup(a)
+	d := execDedup(a, a.Schema(), storage.Par{})
 	if d.Len() != 2 {
 		t.Errorf("dedup: %d rows", d.Len())
 	}
@@ -96,7 +101,7 @@ func TestDedup(t *testing.T) {
 
 func TestFilterRel(t *testing.T) {
 	a := relOf("t", [2]int64{1, 5}, [2]int64{2, 15}, [2]int64{3, 25})
-	got := filterRel(a, algebra.And(algebra.CmpConst("t.v", algebra.GT, algebra.NewInt(10))))
+	got := execSelect(a, algebra.And(algebra.CmpConst("t.v", algebra.GT, algebra.NewInt(10))), a.Schema(), storage.Par{})
 	if got.Len() != 2 {
 		t.Errorf("filter: %d rows", got.Len())
 	}

@@ -1,10 +1,10 @@
 package exec
 
-// Partition-parallel operator tests: every operator in parallel.go must be
-// byte-identical to its sequential twin in ops.go at any partition/worker
-// count (aggregation: set-equal with identical counts, since group output
-// order is map order in both). Run under -race in CI, so the co-partitioned
-// worker fan-out is exercised for races as well as results. A refresh-level
+// Partition-parallel operator tests: every operator must be byte-identical
+// to its own sequential run at any partition/worker count (aggregation:
+// set-equal with identical counts, since group output order is map order).
+// Run under -race in CI, so the morsel and hash-partition worker fan-outs
+// are exercised for races as well as results. A refresh-level
 // partition-count independence test rides on the randomized maintenance
 // harness fixture.
 
@@ -18,22 +18,12 @@ import (
 )
 
 // forcePar lowers the sequential-fallback threshold so small test inputs
-// exercise the parallel paths — and pins joins to the co-partitioned path
-// (broadcast is covered by forceBroadcast) — restoring both afterwards.
+// exercise the parallel paths, restoring it afterwards.
 func forcePar(t *testing.T) {
 	t.Helper()
-	oldMin, oldBc := storage.ParMinRows, broadcastMaxBuild
-	storage.ParMinRows, broadcastMaxBuild = 0, 0
-	t.Cleanup(func() { storage.ParMinRows, broadcastMaxBuild = oldMin, oldBc })
-}
-
-// forceBroadcast additionally routes every parallel join through the
-// broadcast fast path.
-func forceBroadcast(t *testing.T) {
-	t.Helper()
-	old := broadcastMaxBuild
-	broadcastMaxBuild = 1 << 30
-	t.Cleanup(func() { broadcastMaxBuild = old })
+	old := storage.ParMinRows
+	storage.ParMinRows = 0
+	t.Cleanup(func() { storage.ParMinRows = old })
 }
 
 // testPars is the partition sweep every operator equivalence check runs:
@@ -77,10 +67,12 @@ func identical(t *testing.T, what string, want, got *storage.Relation) {
 
 func TestParallelOperatorsByteIdentical(t *testing.T) {
 	forcePar(t)
+	seq := storage.Par{}
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		l := randRelOf(rng, "l", []string{"k", "v"}, 120+rng.Intn(120))
 		r := randRelOf(rng, "r", []string{"k", "w"}, 100+rng.Intn(150))
+		lr := randRelOf(rng, "l", []string{"k", "v"}, 80)
 
 		filt := algebra.And(algebra.CmpConst("l.k", algebra.LT, algebra.NewInt(8)))
 		proj := algebra.Schema{{Rel: "l", Name: "v"}, {Rel: "l", Name: "k"}}
@@ -88,26 +80,26 @@ func TestParallelOperatorsByteIdentical(t *testing.T) {
 		joinRes := algebra.And(algebra.Eq("l.k", "r.k"),
 			algebra.Cmp{Op: algebra.LT, L: algebra.C("l.v"), R: algebra.C("r.w")})
 		cross := algebra.And(algebra.Cmp{Op: algebra.LT, L: algebra.C("l.v"), R: algebra.C("r.w")})
+		lrSchema := l.Schema().Concat(r.Schema())
 
 		for _, par := range testPars {
-			identical(t, "filterRelP", filterRel(l, filt), filterRelP(l, filt, par))
-			identical(t, "projectToP", projectTo(l, proj), projectToP(l, proj, par))
-			identical(t, "hashJoinP", hashJoin(l, r, joinEq), hashJoinP(l, r, joinEq, par))
-			identical(t, "hashJoinP+residual", hashJoin(l, r, joinRes), hashJoinP(l, r, joinRes, par))
-			identical(t, "nestedLoopP", hashJoin(l, r, cross), hashJoinP(l, r, cross, par))
-			identical(t, "dedupP", dedup(l), dedupP(l.Clone(), par))
-			lr := randRelOf(rng, "l", []string{"k", "v"}, 80)
-			identical(t, "minusP", minus(l, lr), minusP(l, lr, par))
-			identical(t, "unionAllP", unionAll(l, lr), unionAllP(l, lr, par))
+			identical(t, "select", execSelect(l, filt, proj, seq), execSelect(l, filt, proj, par))
+			identical(t, "project", projectTo(l, proj), projectToP(l, proj, par))
+			identical(t, "join", execJoinSized(l, r, joinEq, lrSchema, seq), execJoinSized(l, r, joinEq, lrSchema, par))
+			identical(t, "join+residual", execJoinSized(l, r, joinRes, proj, seq), execJoinSized(l, r, joinRes, proj, par))
+			identical(t, "nested loop", execJoinSized(l, r, cross, lrSchema, seq), execJoinSized(l, r, cross, lrSchema, par))
+			identical(t, "dedup", execDedup(l.Clone(), l.Schema(), seq), execDedup(l.Clone(), l.Schema(), par))
+			identical(t, "minus", execMinus(l.Clone(), lr, l.Schema(), seq), execMinus(l.Clone(), lr, l.Schema(), par))
+			identical(t, "union", execUnion(l, lr, l.Schema(), seq), execUnion(l, lr, l.Schema(), par))
 		}
 	}
 }
 
-// TestBroadcastJoinByteIdentical covers the small-build fast path: the same
-// joins as the co-partitioned sweep, routed through the broadcast table.
+// TestBroadcastJoinByteIdentical covers the delta-join shape: a small build
+// side shared by every morsel worker scanning a large probe side, in both
+// input orders.
 func TestBroadcastJoinByteIdentical(t *testing.T) {
 	forcePar(t)
-	forceBroadcast(t)
 	for seed := int64(20); seed < 26; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		l := randRelOf(rng, "l", []string{"k", "v"}, 60+rng.Intn(80))
@@ -115,28 +107,46 @@ func TestBroadcastJoinByteIdentical(t *testing.T) {
 		joinEq := algebra.And(algebra.Eq("l.k", "r.k"))
 		joinRes := algebra.And(algebra.Eq("l.k", "r.k"),
 			algebra.Cmp{Op: algebra.LT, L: algebra.C("l.v"), R: algebra.C("r.w")})
+		flip := algebra.And(algebra.Eq("r.k", "l.k"))
+		lrSchema, rlSchema := l.Schema().Concat(r.Schema()), r.Schema().Concat(l.Schema())
 		for _, par := range testPars {
-			identical(t, "broadcast", hashJoin(l, r, joinEq), hashJoinP(l, r, joinEq, par))
-			identical(t, "broadcast+residual", hashJoin(l, r, joinRes), hashJoinP(l, r, joinRes, par))
-			identical(t, "broadcast-flip", hashJoin(r, l, algebra.And(algebra.Eq("r.k", "l.k"))),
-				hashJoinP(r, l, algebra.And(algebra.Eq("r.k", "l.k")), par))
+			identical(t, "broadcast", join(l, r, joinEq), execJoinSized(l, r, joinEq, lrSchema, par))
+			identical(t, "broadcast+residual", join(l, r, joinRes), execJoinSized(l, r, joinRes, lrSchema, par))
+			identical(t, "broadcast-flip", join(r, l, flip), execJoinSized(r, l, flip, rlSchema, par))
 		}
 	}
 }
 
+// TestParallelHashJoinBuildSideRule: a size-oriented join builds on the
+// smaller input (left on ties) — the emit order depends on which side
+// builds — at every partition count.
 func TestParallelHashJoinBuildSideRule(t *testing.T) {
 	forcePar(t)
 	rng := rand.New(rand.NewSource(42))
-	// Probe larger than build and vice versa: both orientations must match
-	// the sequential join exactly (the emit order depends on which side
-	// builds).
 	small := randRelOf(rng, "l", []string{"k", "v"}, 40)
 	big := randRelOf(rng, "r", []string{"k", "w"}, 400)
 	pred := algebra.And(algebra.Eq("l.k", "r.k"))
-	for _, par := range testPars {
-		identical(t, "small⋈big", hashJoin(small, big, pred), hashJoinP(small, big, pred, par))
-		flip := algebra.And(algebra.Eq("r.k", "l.k"))
-		identical(t, "big⋈small", hashJoin(big, small, flip), hashJoinP(big, small, flip, par))
+	flip := algebra.And(algebra.Eq("r.k", "l.k"))
+	sbSchema, bsSchema := small.Schema().Concat(big.Schema()), big.Schema().Concat(small.Schema())
+	for _, par := range append([]storage.Par{{}}, testPars...) {
+		identical(t, "small⋈big", hashJoinB(small, big, pred, true, sbSchema, storage.Par{}),
+			execJoinSized(small, big, pred, sbSchema, par))
+		identical(t, "big⋈small", hashJoinB(big, small, flip, false, bsSchema, storage.Par{}),
+			execJoinSized(big, small, flip, bsSchema, par))
+	}
+	// The orientation is observable: building on the big side emits the
+	// same rows in a different order.
+	a := hashJoinB(small, big, pred, true, sbSchema, storage.Par{})
+	b := hashJoinB(small, big, pred, false, sbSchema, storage.Par{})
+	if !storage.EqualMultiset(a, b) {
+		t.Fatalf("orientations disagree as multisets")
+	}
+	same := true
+	for i := range a.Rows() {
+		same = same && a.Rows()[i].Equal(b.Rows()[i])
+	}
+	if same {
+		t.Fatalf("orientation left the row order unchanged; the build-side check is vacuous")
 	}
 }
 
@@ -158,9 +168,11 @@ func TestParallelAggregateSetEqual(t *testing.T) {
 		{Rel: "l", Name: "k"}, {Rel: "", Name: "count"},
 		{Rel: "", Name: "sum_v"}, {Rel: "", Name: "min_v"}, {Rel: "", Name: "max_v"},
 	}
-	want := aggregate(in, op, out)
-	for _, par := range testPars {
-		got := aggregateP(in, op, out, par, 16)
+	seq := NewAggTable(in.Schema(), op.GroupBy, op.Aggs, out)
+	seq.Absorb(in, 1)
+	want := seq.Rows()
+	for _, par := range append([]storage.Par{{}}, testPars...) {
+		got := execAgg(in, op, out, par, 16)
 		if !storage.EqualMultiset(want, got) {
 			t.Fatalf("partitions=%d: aggregate diverged as multiset (%d vs %d rows)",
 				par.Partitions, want.Len(), got.Len())
@@ -168,9 +180,7 @@ func TestParallelAggregateSetEqual(t *testing.T) {
 	}
 	// The merged table must keep absorbing deltas exactly like a
 	// sequentially built one (it becomes the maintained aggregate state).
-	at := buildAggTableP(in, op.GroupBy, op.Aggs, out, storage.Par{Partitions: 4, Workers: 4}, 0)
-	seq := NewAggTable(in.Schema(), op.GroupBy, op.Aggs, out)
-	seq.Absorb(in, 1)
+	at := buildAggTableB(in, op.GroupBy, op.Aggs, out, storage.Par{Partitions: 4, Workers: 4}, 0)
 	delta := randRelOf(rng, "l", []string{"k", "v"}, 50)
 	at.Absorb(delta, 1)
 	seq.Absorb(delta, 1)

@@ -19,8 +19,8 @@ type Executor struct {
 	// Par configures partition-parallel operator execution (zero value:
 	// sequential). Results are byte-identical at any setting for
 	// non-aggregate operators and set-equal with identical counts for
-	// aggregates; see parallel.go. Set it before sharing the executor
-	// across goroutines.
+	// aggregates; see batch.go. Set it before sharing the executor across
+	// goroutines.
 	Par storage.Par
 	// Sizer, when non-nil, estimates a node's final row count (the catalog-
 	// derived sizers of the diff engine); materialization uses it to
@@ -40,7 +40,6 @@ func NewExecutor(db *storage.Database) *Executor {
 		DB:  db,
 		Mat: make(map[int]*storage.Relation),
 		Agg: make(map[int]*AggTable),
-		Par: storage.DefaultPar(),
 	}
 }
 
@@ -49,69 +48,11 @@ func NewExecutor(db *storage.Database) *Executor {
 // cardinality is reported against the plan's estimate — including Reuse
 // reads, whose stored length is the node's true full cardinality.
 func (ex *Executor) Run(p *volcano.PlanNode) *storage.Relation {
-	if ex.Par.Chain {
-		return ex.RunC(p).Materialize(p.E.Schema, ex.Par)
-	}
 	out := ex.runNode(p)
 	if ex.Obs != nil {
 		ex.Obs(p.E, p.Rows, float64(out.Len()))
 	}
 	return out
-}
-
-// RunC executes a plan as a chained columnar pipeline: every operator accepts
-// and emits a Batch, and rows are gathered only when the caller materializes
-// the returned batch. Per-node Obs reporting matches Run's — a batch knows
-// its logical cardinality without gathering.
-func (ex *Executor) RunC(p *volcano.PlanNode) *Batch {
-	out := ex.runNodeC(p)
-	if ex.Obs != nil {
-		ex.Obs(p.E, p.Rows, float64(out.Len()))
-	}
-	return out
-}
-
-// runNodeC mirrors runNode arm-for-arm over batches.
-func (ex *Executor) runNodeC(p *volcano.PlanNode) *Batch {
-	switch p.Access {
-	case volcano.Reuse:
-		r := ex.Mat[p.E.ID]
-		if r == nil {
-			panic(fmt.Sprintf("exec: plan reuses e%d which is not materialized", p.E.ID))
-		}
-		return batchOf(r)
-	case volcano.Probe:
-		panic("exec: probe node executed directly (must be handled by its join)")
-	}
-	op := p.Op
-	par := ex.Par
-	switch op.Kind {
-	case dag.OpScan:
-		return batchOf(ex.DB.MustRelation(op.Table)).project(p.E.Schema, par)
-	case dag.OpSelect:
-		return chainSelect(ex.RunC(p.Children[0]), op.Pred, p.E.Schema, par)
-	case dag.OpProject:
-		return ex.RunC(p.Children[0]).project(p.E.Schema, par)
-	case dag.OpJoin:
-		l := ex.RunC(p.Children[0])
-		var r *Batch
-		if p.Algo == volcano.AlgoINL {
-			r = batchOf(ex.stored(p.Children[1].E))
-		} else {
-			r = ex.RunC(p.Children[1])
-		}
-		return chainJoin(l, r, op.Pred, BuildLeftFromPlan(p), p.E.Schema, par)
-	case dag.OpAggregate:
-		return chainAgg(ex.RunC(p.Children[0]), op, p.E.Schema, par, ex.sizeHint(p.E))
-	case dag.OpUnion:
-		return chainConcat([]*Batch{ex.RunC(p.Children[0]), ex.RunC(p.Children[1])}, p.E.Schema, par)
-	case dag.OpMinus:
-		return chainMinus(ex.RunC(p.Children[0]), ex.RunC(p.Children[1]), p.E.Schema, par)
-	case dag.OpDedup:
-		return chainDedup(ex.RunC(p.Children[0]), p.E.Schema, par)
-	default:
-		panic("exec: unexpected op kind " + op.Kind.String())
-	}
 }
 
 func (ex *Executor) runNode(p *volcano.PlanNode) *storage.Relation {
@@ -145,7 +86,7 @@ func (ex *Executor) runNode(p *volcano.PlanNode) *storage.Relation {
 		} else {
 			r = ex.Run(p.Children[1])
 		}
-		return execJoinPlanned(l, r, op.Pred, BuildLeftFromPlan(p), p.E.Schema, par)
+		return hashJoinB(l, r, op.Pred, BuildLeftFromPlan(p), p.E.Schema, par)
 	case dag.OpAggregate:
 		return execAgg(ex.Run(p.Children[0]), op, p.E.Schema, par, ex.sizeHint(p.E))
 	case dag.OpUnion:
@@ -162,7 +103,7 @@ func (ex *Executor) runNode(p *volcano.PlanNode) *storage.Relation {
 // BuildLeftFromPlan decides a plan join's hash-build side from the
 // optimizer's row estimates: build on the left child unless the right child
 // is estimated strictly smaller (the same tie-break as the size-based rule
-// of hashJoin). Plan-time commitment is deliberate — the shard lowering
+// of execJoinSized). Plan-time commitment is deliberate — the shard lowering
 // (internal/shard) must pick the identical side without executing either
 // input, so it and Run both route through this function.
 func BuildLeftFromPlan(p *volcano.PlanNode) bool {
@@ -203,14 +144,8 @@ func (ex *Executor) stored(e *dag.Equiv) *storage.Relation {
 func (ex *Executor) Materialize(p *volcano.PlanNode) *storage.Relation {
 	e := p.E
 	if p.Access == volcano.Compute && p.Op.Kind == dag.OpAggregate {
-		if ex.Par.Chain {
-			at := chainBuildAgg(ex.RunC(p.Children[0]), p.Op.GroupBy, p.Op.Aggs, e.Schema, ex.Par, ex.sizeHint(e))
-			ex.Agg[e.ID] = at
-			ex.Mat[e.ID] = projectToP(at.Rows(), e.Schema, ex.Par)
-			return ex.Mat[e.ID]
-		}
 		in := ex.Run(p.Children[0])
-		at := execBuildAgg(in, p.Op.GroupBy, p.Op.Aggs, e.Schema, ex.Par, ex.sizeHint(e))
+		at := buildAggTableB(in, p.Op.GroupBy, p.Op.Aggs, e.Schema, ex.Par, ex.sizeHint(e))
 		ex.Agg[e.ID] = at
 		ex.Mat[e.ID] = projectToP(at.Rows(), e.Schema, ex.Par)
 		return ex.Mat[e.ID]

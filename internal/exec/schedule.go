@@ -230,9 +230,6 @@ func (t *diffTask) result() *storage.Relation {
 // phase 1, and dependency results are read through published write-once
 // cells.
 func (sr *stepRun) exec(p *diff.DiffPlan) *storage.Relation {
-	if sr.mt.Ex.Par.Chain {
-		return sr.execC(p).Materialize(p.E.Schema, sr.mt.Ex.Par)
-	}
 	mt := sr.mt
 	ex := mt.Ex
 	e := p.E
@@ -279,59 +276,6 @@ func (sr *stepRun) exec(p *diff.DiffPlan) *storage.Relation {
 			out.InsertAll(projectToP(sr.exec(c), e.Schema, par))
 		}
 		return out
-	case dag.OpMinus:
-		panic("exec: differential maintenance through multiset difference is not supported; " +
-			"materialize and recompute such views instead")
-	default:
-		panic(fmt.Sprintf("exec: differential plan over %s unsupported", op.Kind))
-	}
-}
-
-// execC mirrors exec arm-for-arm over batches: one differential task's plan
-// tree runs as a single chained pipeline, gathering to rows only when the
-// task publishes its result.
-func (sr *stepRun) execC(p *diff.DiffPlan) *Batch {
-	mt := sr.mt
-	ex := mt.Ex
-	e := p.E
-	if p.Empty {
-		return batchOf(storage.NewRelation(e.Schema))
-	}
-	if p.Reused {
-		return batchOf(sr.tasks[diff.DiffKey{EquivID: e.ID, Update: p.Update}].result())
-	}
-	op := p.Op
-	u := mt.En.U
-	par := ex.Par
-	switch op.Kind {
-	case dag.OpScan:
-		d := ex.DB.Delta(op.Table)
-		if u.IsInsert(p.Update) {
-			return batchOf(d.Plus).project(e.Schema, par)
-		}
-		return batchOf(d.Minus).project(e.Schema, par)
-	case dag.OpSelect:
-		return chainSelect(sr.execC(p.DiffChildren[0]), op.Pred, e.Schema, par)
-	case dag.OpProject:
-		return sr.execC(p.DiffChildren[0]).project(e.Schema, par)
-	case dag.OpJoin:
-		dc := sr.execC(p.DiffChildren[0])
-		var full *Batch
-		if len(p.FullInputs) > 0 {
-			full = ex.RunC(p.FullInputs[0])
-		} else {
-			// Index nested loops: probe the stored inner side.
-			full = batchOf(ex.stored(otherJoinChild(p)))
-		}
-		return chainJoin(dc, full, op.Pred, !(full.Len() < dc.Len()), e.Schema, par)
-	case dag.OpAggregate:
-		return chainAgg(sr.execC(p.DiffChildren[0]), op, e.Schema, par, 0)
-	case dag.OpUnion:
-		parts := make([]*Batch, len(p.DiffChildren))
-		for i, c := range p.DiffChildren {
-			parts[i] = sr.execC(c)
-		}
-		return chainConcat(parts, e.Schema, par)
 	case dag.OpMinus:
 		panic("exec: differential maintenance through multiset difference is not supported; " +
 			"materialize and recompute such views instead")

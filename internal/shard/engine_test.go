@@ -165,7 +165,7 @@ func TestScatterGatherMatchesLocal(t *testing.T) {
 		db, plan := buildJoinFixture(rng, 30+rng.Intn(200), 1+rng.Intn(25))
 		want := exec.NewExecutor(db).Run(plan)
 
-		req, ok := Lower(plan, fixtureEnv(db, exec.BroadcastMax()))
+		req, ok := Lower(plan, fixtureEnv(db, MaxBroadcastRows))
 		if !ok {
 			t.Fatalf("it %d: plan not lowerable", it)
 		}

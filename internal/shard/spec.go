@@ -107,9 +107,14 @@ type Hello struct {
 // ---------------------------------------------------------------------------
 // Plan lowering.
 
+// MaxBroadcastRows is the runtime's LowerEnv.MaxBroadcast: the largest
+// build side the coordinator ships inline, to every shard, with a scatter
+// request. A plan with a larger build side runs coordinator-local instead.
+const MaxBroadcastRows = 8192
+
 // LowerEnv supplies the coordinator-side context Lower needs: leaf
 // resolution against the pinned snapshot and subplan execution for build
-// sides. MaxBroadcast bounds inline build rows (exec.BroadcastMax()).
+// sides. MaxBroadcast bounds inline build rows.
 type LowerEnv struct {
 	// Leaf resolves a stored leaf node — a Reuse/Probe of a materialized
 	// result or a base-table access — to its wire reference and its stored

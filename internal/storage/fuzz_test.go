@@ -171,7 +171,7 @@ func FuzzBatchFromPartView(f *testing.F) {
 	f.Add([]byte{0, 7, 2, 1, 2, 2, 0, 3, 2, 4})                         // Int/Date mix: one payload class
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sch, rows, parts := decodeFuzzRelation(data)
-		par := Par{Partitions: parts, Workers: 2, Batch: true}.Norm()
+		par := Par{Partitions: parts, Workers: 2}.Norm()
 		allCols := make([]int, len(sch))
 		for i := range allCols {
 			allCols[i] = i

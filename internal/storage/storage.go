@@ -20,8 +20,8 @@ import (
 // Duplicates are represented positionally (a tuple may appear several times).
 // A relation version may additionally carry a cached hash-partition view
 // (PartView, partition.go) used by the partition-parallel operators and a
-// cached column view (ColView, colview.go) used by the vectorized batch
-// engine; any in-place mutation drops both.
+// cached column view (ColView, colview.go) used by the vectorized operator
+// kernels; any in-place mutation drops both.
 type Relation struct {
 	schema algebra.Schema
 	rows   []algebra.Tuple
