@@ -89,22 +89,6 @@ func (a *BoundArith) EvalRow(t Tuple) float64 {
 	return arithApply(a.Op, a.L.EvalRow(t), a.R.EvalRow(t))
 }
 
-// Remap returns a copy of the tree with every leaf column index rewritten
-// through f (literal leaves are shared). The chained pipeline uses it to
-// re-express a batch-schema compile against the backing relation's layout.
-func (a *BoundArith) Remap(f func(int) int) *BoundArith {
-	if a == nil {
-		return nil
-	}
-	if a.Leaf() {
-		if a.Idx < 0 {
-			return a
-		}
-		return &BoundArith{Idx: f(a.Idx), Val: a.Val}
-	}
-	return &BoundArith{Op: a.Op, L: a.L.Remap(f), R: a.R.Remap(f), Idx: a.Idx}
-}
-
 // compileArithOperand compiles one side of a comparison that contains
 // arithmetic, resolving column references against the schema.
 func compileArithOperand(e Expr, s Schema) *BoundArith {

@@ -115,33 +115,14 @@ func (p BoundPred) Cmps() []BoundCmp {
 }
 
 // NewBoundPred reassembles a BoundPred from compiled conjuncts (the decode
-// side). Eval is shared with predicates bound locally, so both sides of the
-// wire agree on comparison semantics by construction.
+// side of a serialized predicate, which carries conjuncts only). Eval is
+// shared with predicates bound locally, so both sides of the wire agree on
+// comparison semantics by construction.
 func NewBoundPred(cs []BoundCmp) BoundPred {
-	return NewBoundPredCNF(cs, nil)
-}
-
-// NewBoundPredCNF reassembles a BoundPred from compiled conjuncts plus
-// disjunctive clauses — the full CNF round trip of Cmps/Clauses. The chained
-// executor uses it to re-evaluate an index-remapped compile.
-func NewBoundPredCNF(cs []BoundCmp, clauses [][]BoundCmp) BoundPred {
-	conv := func(c BoundCmp) boundCmp {
-		return boundCmp{op: c.Op, li: c.LIdx, ri: c.RIdx, lv: c.LVal, rv: c.RVal,
-			la: c.LArith, ra: c.RArith}
-	}
 	out := BoundPred{cs: make([]boundCmp, len(cs))}
 	for i, c := range cs {
-		out.cs[i] = conv(c)
-	}
-	if len(clauses) > 0 {
-		out.clauses = make([][]boundCmp, len(clauses))
-		for i, cl := range clauses {
-			bcl := make([]boundCmp, len(cl))
-			for j, c := range cl {
-				bcl[j] = conv(c)
-			}
-			out.clauses[i] = bcl
-		}
+		out.cs[i] = boundCmp{op: c.Op, li: c.LIdx, ri: c.RIdx, lv: c.LVal, rv: c.RVal,
+			la: c.LArith, ra: c.RArith}
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 )
@@ -281,32 +280,4 @@ func (p Pred) RefersOnlyTo(s Schema) bool {
 		}
 	}
 	return true
-}
-
-// AndPred conjoins two predicates, concatenating conjuncts and clauses.
-func AndPred(a, b Pred) Pred {
-	if a.IsTrue() {
-		return b
-	}
-	if b.IsTrue() {
-		return a
-	}
-	out := make([]Cmp, 0, len(a.Conjuncts)+len(b.Conjuncts))
-	out = append(out, a.Conjuncts...)
-	out = append(out, b.Conjuncts...)
-	var cls [][]Cmp
-	if len(a.Clauses)+len(b.Clauses) > 0 {
-		cls = make([][]Cmp, 0, len(a.Clauses)+len(b.Clauses))
-		cls = append(cls, a.Clauses...)
-		cls = append(cls, b.Clauses...)
-	}
-	return Pred{Conjuncts: out, Clauses: cls}
-}
-
-// HashString hashes a canonical string to 64 bits (FNV-1a). Shared helper for
-// DAG unification keys.
-func HashString(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum64()
 }

@@ -54,11 +54,6 @@ func (v Value) HashInto(h uint64) uint64 {
 	return h
 }
 
-// HashSeed returns the FNV-1a offset basis — the initial state of a
-// HashInto fold. Column-major hashers (the chained columnar pipeline) start
-// here so their hashes equal Tuple.HashCols element-wise.
-func HashSeed() uint64 { return fnvOffset64 }
-
 // Hash returns the hash of the whole tuple.
 func (t Tuple) Hash() uint64 {
 	h := fnvOffset64

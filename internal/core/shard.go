@@ -45,9 +45,11 @@ type ShardStats struct {
 	Scattered int64
 	// Fallbacks is the number answered coordinator-local: plans the lowering
 	// cannot express (aggregates, oversized build sides, cache-only leaves)
-	// or scatter transport failures. Both paths answer at the same pinned
-	// epoch.
+	// or scatter failures. Both paths answer at the same pinned epoch.
 	Fallbacks int64
+	// ScatterErrors is the subset of Fallbacks whose plan was lowered but
+	// whose scatter failed (a worker error or a transport failure).
+	ScatterErrors int64
 }
 
 // ShardedRuntime serves queries over a shard fleet while the underlying
@@ -57,8 +59,9 @@ type ShardedRuntime struct {
 	rt *Runtime
 	co *shard.Coordinator
 
-	scattered atomic.Int64
-	fallbacks atomic.Int64
+	scattered     atomic.Int64
+	fallbacks     atomic.Int64
+	scatterErrors atomic.Int64
 }
 
 // EnableShardedInProc builds an in-process shard fleet (shard.InProc
@@ -112,9 +115,10 @@ func (sr *ShardedRuntime) Runtime() *Runtime { return sr.rt }
 // install hook through it).
 func (sr *ShardedRuntime) Coordinator() *shard.Coordinator { return sr.co }
 
-// Stats returns the scatter/fallback counters.
+// Stats returns the scatter, fallback and scatter-error counters.
 func (sr *ShardedRuntime) Stats() ShardStats {
-	return ShardStats{Scattered: sr.scattered.Load(), Fallbacks: sr.fallbacks.Load()}
+	return ShardStats{Scattered: sr.scattered.Load(), Fallbacks: sr.fallbacks.Load(),
+		ScatterErrors: sr.scatterErrors.Load()}
 }
 
 // Install runs the two-phase install of the current snapshot: stage on every
@@ -241,6 +245,8 @@ func (sr *ShardedRuntime) Query(sql string) (*QueryResult, error) {
 		if got, err := sr.co.Scatter(req, plan.E.Schema); err == nil {
 			rows = got
 			sr.scattered.Add(1)
+		} else {
+			sr.scatterErrors.Add(1)
 		}
 	}
 	if rows == nil {

@@ -81,6 +81,11 @@ func TestShardEquivalence(t *testing.T) {
 			t.Fatalf("shards=%d: no query went through scatter-gather (fallbacks=%d)",
 				shards, stats.Fallbacks)
 		}
+		if stats.ScatterErrors != 0 {
+			// A failed scatter falls back to a correct local answer, so only
+			// this counter shows a worker fault.
+			t.Fatalf("shards=%d: %d lowered queries failed to scatter", shards, stats.ScatterErrors)
+		}
 		for i := range base {
 			if !storage.EqualMultiset(base[i], got[i]) {
 				t.Fatalf("shards=%d: query %d diverged as multiset (%d vs %d rows)",

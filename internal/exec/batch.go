@@ -32,18 +32,18 @@ import (
 // ---------------------------------------------------------------------------
 // Selection: predicate → selection bitmap over column vectors.
 
-// batchSelBitmap evaluates a CNF predicate into a selection bitmap. The
-// first conjunct fills the bitmap with a dense typed loop; later conjuncts
-// compose by clearing set bits (selection-vector composition). Disjunctive
-// clauses evaluate in one vectorized pass each: every alternative runs its
-// dense fill loop into a shared scratch bitmap — fill mode only ever sets
-// bits, so alternatives OR together for free — and the clause verdict is
-// ANDed into the main bitmap word-wise. No clause ever falls back to
-// per-surviving-row predicate evaluation. Large inputs evaluate
-// morsel-parallel over word-aligned row ranges, so no two workers touch a
-// bitmap word (the scratch bitmap is word-disjoint between workers too).
-func batchSelBitmap(in *storage.Relation, pred algebra.Pred, par storage.Par) *Bitmap {
-	bp := pred.Bind(in.Schema())
+// SelectBound evaluates a CNF predicate bound against the relation's
+// columns into a selection bitmap over its rows. The first conjunct fills
+// the bitmap with a dense typed loop; later conjuncts compose by clearing
+// set bits (selection-vector composition). Disjunctive clauses evaluate in
+// one vectorized pass each: every alternative runs its dense fill loop into
+// a shared scratch bitmap — fill mode only ever sets bits, so alternatives
+// OR together for free — and the clause verdict is ANDed into the main
+// bitmap word-wise. No clause ever falls back to per-surviving-row
+// predicate evaluation. Large inputs evaluate morsel-parallel over
+// word-aligned row ranges, so no two workers touch a bitmap word (the
+// scratch bitmap is word-disjoint between workers too).
+func SelectBound(in *storage.Relation, bp algebra.BoundPred, par storage.Par) *Bitmap {
 	cmps, clauses := bp.Cmps(), bp.Clauses()
 	n := in.Len()
 	bm := NewBitmap(n)
@@ -963,7 +963,7 @@ func dedupB(in *storage.Relation, par storage.Par) *storage.Relation {
 // selection bitmap, then one gather pass straight into the target schema —
 // no intermediate filtered relation.
 func execSelect(in *storage.Relation, pred algebra.Pred, target algebra.Schema, par storage.Par) *storage.Relation {
-	return gatherProject(in, batchSelBitmap(in, pred, par), target, par)
+	return gatherProject(in, SelectBound(in, pred.Bind(in.Schema()), par), target, par)
 }
 
 // execJoinSized is a join oriented by size: build on the smaller input

@@ -137,19 +137,3 @@ func (ex *Executor) stored(e *dag.Equiv) *storage.Relation {
 	}
 	return r
 }
-
-// Materialize computes a plan and stores the result under its node ID. For
-// aggregate roots the mergeable state is captured so the result can be
-// maintained incrementally.
-func (ex *Executor) Materialize(p *volcano.PlanNode) *storage.Relation {
-	e := p.E
-	if p.Access == volcano.Compute && p.Op.Kind == dag.OpAggregate {
-		in := ex.Run(p.Children[0])
-		at := buildAggTableB(in, p.Op.GroupBy, p.Op.Aggs, e.Schema, ex.Par, ex.sizeHint(e))
-		ex.Agg[e.ID] = at
-		ex.Mat[e.ID] = projectToP(at.Rows(), e.Schema, ex.Par)
-		return ex.Mat[e.ID]
-	}
-	ex.Mat[e.ID] = ex.Run(p).ParClone(ex.Par)
-	return ex.Mat[e.ID]
-}

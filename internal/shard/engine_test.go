@@ -7,6 +7,8 @@ package shard
 // gathers byte-identical answers to local execution at every shard count.
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -14,69 +16,98 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/dag"
 	"repro/internal/exec"
+	"repro/internal/exec/equivtest"
 	"repro/internal/storage"
 	"repro/internal/volcano"
 )
 
-// buildJoinFixture creates a two-table database and a filter→join plan over
-// it: probe side "fact" (random size), build side "dim", equi-key on k, a
-// filter on the fact side, and a residual inequality across the join.
-func buildJoinFixture(rng *rand.Rand, factN, dimN int) (*storage.Database, *volcano.PlanNode) {
+// namedPlan is one served plan shape of the join fixture.
+type namedPlan struct {
+	name string
+	plan *volcano.PlanNode
+}
+
+// buildJoinFixture creates a three-table database and the plan shapes the
+// scatter path must reproduce, first the filter→join one: probe side "fact"
+// (random size, a float column holding NaN, −0.0 and 0.0), build side "dim",
+// equi-key on k, a filter on the fact side and a residual inequality across
+// the join. The others add a key-reordering projection and a filter above
+// that join, a second broadcast join ("dim2") probed by its composite rows,
+// and a filter on the float column.
+func buildJoinFixture(rng *rand.Rand, factN, dimN int) (*storage.Database, []namedPlan) {
 	factSchema := algebra.Schema{
 		{Rel: "fact", Name: "k", Type: catalog.Int, Width: 8},
 		{Rel: "fact", Name: "v", Type: catalog.Int, Width: 8},
+		{Rel: "fact", Name: "f", Type: catalog.Float, Width: 8},
 	}
 	dimSchema := algebra.Schema{
 		{Rel: "dim", Name: "k", Type: catalog.Int, Width: 8},
 		{Rel: "dim", Name: "w", Type: catalog.Int, Width: 8},
 	}
+	dim2Schema := algebra.Schema{
+		{Rel: "dim2", Name: "k", Type: catalog.Int, Width: 8},
+		{Rel: "dim2", Name: "s", Type: catalog.String, Width: 8},
+	}
+	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, -2.5}
 	db := storage.NewDatabase()
 	fact := db.Create("fact", factSchema)
 	for i := 0; i < factN; i++ {
-		fact.Insert(algebra.Tuple{algebra.NewInt(rng.Int63n(20)), algebra.NewInt(rng.Int63n(100))})
+		fact.Insert(algebra.Tuple{algebra.NewInt(rng.Int63n(20)), algebra.NewInt(rng.Int63n(100)),
+			algebra.NewFloat(floats[rng.Intn(len(floats))])})
 	}
 	dim := db.Create("dim", dimSchema)
 	for i := 0; i < dimN; i++ {
 		dim.Insert(algebra.Tuple{algebra.NewInt(rng.Int63n(20)), algebra.NewInt(rng.Int63n(100))})
 	}
+	dim2N := 1 + rng.Intn(8)
+	dim2 := db.Create("dim2", dim2Schema)
+	for i := 0; i < dim2N; i++ {
+		dim2.Insert(algebra.Tuple{algebra.NewInt(rng.Int63n(20)), algebra.NewString(string(rune('a' + i)))})
+	}
 
-	factE := &dag.Equiv{ID: 1, Key: "t:fact", Schema: factSchema, IsTable: true, Tables: []string{"fact"}}
-	dimE := &dag.Equiv{ID: 2, Key: "t:dim", Schema: dimSchema, IsTable: true, Tables: []string{"dim"}}
-	factScan := &volcano.PlanNode{
-		E: factE, Access: volcano.Compute,
-		Op:   &dag.Op{Kind: dag.OpScan, Table: "fact"},
-		Rows: float64(factN),
+	id := 0
+	node := func(schema algebra.Schema, rows float64, op *dag.Op, children ...*volcano.PlanNode) *volcano.PlanNode {
+		id++
+		e := &dag.Equiv{ID: id, Key: fmt.Sprintf("n%d", id), Schema: schema}
+		if op.Kind == dag.OpScan {
+			e.IsTable, e.Tables = true, []string{op.Table}
+		}
+		return &volcano.PlanNode{E: e, Access: volcano.Compute, Algo: volcano.AlgoHash,
+			Op: op, Children: children, Rows: rows}
 	}
-	dimScan := &volcano.PlanNode{
-		E: dimE, Access: volcano.Compute,
-		Op:   &dag.Op{Kind: dag.OpScan, Table: "dim"},
-		Rows: float64(dimN),
+	scan := func(table string, schema algebra.Schema, n int) *volcano.PlanNode {
+		return node(schema, float64(n), &dag.Op{Kind: dag.OpScan, Table: table})
 	}
-	selPred := algebra.Pred{Conjuncts: []algebra.Cmp{
-		algebra.CmpConst("fact.v", algebra.LT, algebra.NewInt(80)),
-	}}
-	selE := &dag.Equiv{ID: 3, Key: "sel:fact", Schema: factSchema, Tables: []string{"fact"}}
-	sel := &volcano.PlanNode{
-		E: selE, Access: volcano.Compute,
-		Op:       &dag.Op{Kind: dag.OpSelect, Pred: selPred},
-		Children: []*volcano.PlanNode{factScan},
-		Rows:     float64(factN) * 0.8,
+	sel := func(child *volcano.PlanNode, rows float64, cs ...algebra.Cmp) *volcano.PlanNode {
+		return node(child.E.Schema, rows, &dag.Op{Kind: dag.OpSelect, Pred: algebra.Pred{Conjuncts: cs}}, child)
 	}
-	joinPred := algebra.Pred{Conjuncts: []algebra.Cmp{
+	join := func(l, r *volcano.PlanNode, rows float64, cs ...algebra.Cmp) *volcano.PlanNode {
+		return node(l.E.Schema.Concat(r.E.Schema), rows, &dag.Op{Kind: dag.OpJoin, Pred: algebra.Pred{Conjuncts: cs}}, l, r)
+	}
+
+	fN := float64(factN)
+	filterJoin := join(
+		sel(scan("fact", factSchema, factN), fN*0.8, algebra.CmpConst("fact.v", algebra.LT, algebra.NewInt(80))),
+		scan("dim", dimSchema, dimN), fN,
 		algebra.Eq("fact.k", "dim.k"),
-		{Op: algebra.LT, L: algebra.C("fact.v"), R: algebra.C("dim.w")},
-	}}
-	joinE := &dag.Equiv{
-		ID: 4, Key: "join", Schema: factSchema.Concat(dimSchema),
-		Tables: []string{"dim", "fact"},
+		algebra.Cmp{Op: algebra.LT, L: algebra.C("fact.v"), R: algebra.C("dim.w")})
+	reordered := algebra.Schema{dimSchema[1], factSchema[2], factSchema[0], factSchema[1]}
+	above := sel(node(reordered, fN, &dag.Op{Kind: dag.OpProject}, filterJoin), fN*0.3,
+		algebra.CmpConst("dim.w", algebra.GE, algebra.NewInt(30)),
+		algebra.CmpConst("fact.k", algebra.NE, algebra.NewInt(3)))
+	twoJoins := join(above, scan("dim2", dim2Schema, dim2N), fN*0.3, algebra.Eq("fact.k", "dim2.k"))
+	ops := []algebra.CmpOp{algebra.EQ, algebra.NE, algebra.LT, algebra.LE, algebra.GT, algebra.GE}
+	lits := []float64{math.NaN(), math.Copysign(0, -1), 0, 1.5}
+	floatFilter := join(
+		sel(scan("fact", factSchema, factN), fN*0.5,
+			algebra.CmpConst("fact.f", ops[rng.Intn(len(ops))], algebra.NewFloat(lits[rng.Intn(len(lits))]))),
+		scan("dim", dimSchema, dimN), fN, algebra.Eq("fact.k", "dim.k"))
+	return db, []namedPlan{
+		{"filter→join", filterJoin},
+		{"join→project→filter", above},
+		{"second join on composite rows", twoJoins},
+		{"NaN/-0.0 float filter", floatFilter},
 	}
-	join := &volcano.PlanNode{
-		E: joinE, Access: volcano.Compute, Algo: volcano.AlgoHash,
-		Op:       &dag.Op{Kind: dag.OpJoin, Pred: joinPred},
-		Children: []*volcano.PlanNode{sel, dimScan},
-		Rows:     float64(factN),
-	}
-	return db, join
 }
 
 // fixtureEnv lowers against db with a local executor for build sides.
@@ -104,7 +135,8 @@ func TestLowerBroadcastThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for it := 0; it < 20; it++ {
 		dimN := 1 + rng.Intn(30)
-		db, plan := buildJoinFixture(rng, 50+rng.Intn(100), dimN)
+		db, plans := buildJoinFixture(rng, 50+rng.Intn(100), dimN)
+		plan := plans[0].plan
 		buildLen := db.MustRelation("dim").Len()
 
 		// At exactly the build size the broadcast path triggers...
@@ -159,32 +191,38 @@ func stageFleet(t *testing.T, db *storage.Database, a Assignment, epoch int64) *
 	return co
 }
 
+// TestScatterGatherMatchesLocal: every fixture plan shape, lowered and run
+// on fleets of one, two and four shards, gathers a relation byte-identical
+// (bit-equal values, so NaN and −0.0 included) to local execution.
 func TestScatterGatherMatchesLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
+	answered := make(map[string]int)
 	for it := 0; it < 15; it++ {
-		db, plan := buildJoinFixture(rng, 30+rng.Intn(200), 1+rng.Intn(25))
-		want := exec.NewExecutor(db).Run(plan)
-
-		req, ok := Lower(plan, fixtureEnv(db, MaxBroadcastRows))
-		if !ok {
-			t.Fatalf("it %d: plan not lowerable", it)
-		}
-		req.Epoch = int64(it)
-		for _, shards := range []int{1, 2, 4} {
-			a := Assignment{Partitions: 8, Shards: shards}.Norm()
-			co := stageFleet(t, db, a, req.Epoch)
-			got, err := co.Scatter(req, plan.E.Schema)
-			if err != nil {
-				t.Fatalf("it %d shards %d: %v", it, shards, err)
+		db, plans := buildJoinFixture(rng, 30+rng.Intn(200), 1+rng.Intn(25))
+		for _, np := range plans {
+			want := exec.NewExecutor(db).Run(np.plan)
+			answered[np.name] += want.Len()
+			req, ok := Lower(np.plan, fixtureEnv(db, MaxBroadcastRows))
+			if !ok {
+				t.Fatalf("it %d %s: plan not lowerable", it, np.name)
 			}
-			if got.Len() != want.Len() {
-				t.Fatalf("it %d shards %d: %d rows, want %d", it, shards, got.Len(), want.Len())
-			}
-			for r, tu := range want.Rows() {
-				if !tu.Equal(got.Rows()[r]) {
-					t.Fatalf("it %d shards %d: row %d differs: %v vs %v", it, shards, r, got.Rows()[r], tu)
+			req.Epoch = int64(it)
+			for _, shards := range []int{1, 2, 4} {
+				a := Assignment{Partitions: 8, Shards: shards}.Norm()
+				co := stageFleet(t, db, a, req.Epoch)
+				got, err := co.Scatter(req, np.plan.E.Schema)
+				if err != nil {
+					t.Fatalf("it %d %s shards %d: %v", it, np.name, shards, err)
+				}
+				if err := equivtest.Identical(want, got); err != nil {
+					t.Fatalf("it %d %s shards %d: %v", it, np.name, shards, err)
 				}
 			}
+		}
+	}
+	for name, n := range answered {
+		if n == 0 {
+			t.Errorf("%s answered no rows in any iteration; the comparison is vacuous", name)
 		}
 	}
 }
@@ -287,4 +325,84 @@ func TestWorkerStageRecovery(t *testing.T) {
 		t.Fatal("accepted delta with missing base")
 	}
 	w2.Close()
+}
+
+// TestWorkerCommitKeepsPreviousEpoch: a reader that pinned gate N−1 just
+// before the coordinator flipped to N scatters after Commit(N) has arrived,
+// so the commit keeps the previously committed epoch; a scatter two installs
+// back is refused.
+func TestWorkerCommitKeepsPreviousEpoch(t *testing.T) {
+	a := Assignment{Partitions: 4, Shards: 1}.Norm()
+	w, err := NewWorker(0, a, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stage := func(epoch int64) {
+		t.Helper()
+		s := Slice{Rows: []algebra.Tuple{{algebra.NewInt(epoch)}}, Idx: []int32{0}}
+		if err := w.Stage(&StageReq{Epoch: epoch, From: epoch - 1, Base: epoch == 1,
+			Rels: map[string]Slice{"t": s}, Mats: map[int32]Slice{}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(epoch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scatter := func(epoch int64) error {
+		p, err := w.Scatter(&ScatterReq{Epoch: epoch, Leaf: LeafRef{Rel: "t"}})
+		if err == nil && (len(p.Rows) != 1 || p.Rows[0][0].I != epoch) {
+			t.Fatalf("epoch %d serves %v", epoch, p.Rows)
+		}
+		return err
+	}
+	stage(1)
+	stage(2)
+	stage(3)
+	if err := scatter(2); err != nil {
+		t.Fatalf("scatter at the previous gate after the next commit: %v", err)
+	}
+	if err := scatter(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := scatter(1); err == nil {
+		t.Fatal("scatter two installs back was served; want the epoch pruned")
+	}
+}
+
+// TestStageRefusesRaggedSlice: a slice whose rows differ in width (only a
+// malformed wire peer sends one) is refused when staged, before it reaches
+// the stage log, so the worker keeps serving its last epoch and recovers
+// cleanly.
+func TestStageRefusesRaggedSlice(t *testing.T) {
+	dir := t.TempDir()
+	a := Assignment{Partitions: 4, Shards: 1}.Norm()
+	w, err := NewWorker(0, a, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := Slice{Rows: []algebra.Tuple{{algebra.NewInt(1)}}, Idx: []int32{0}}
+	if err := w.Stage(&StageReq{Epoch: 1, From: -1, Base: true,
+		Rels: map[string]Slice{"t": good}, Mats: map[int32]Slice{}}); err != nil {
+		t.Fatal(err)
+	}
+	ragged := Slice{
+		Rows: []algebra.Tuple{{algebra.NewInt(1)}, {algebra.NewInt(2), algebra.NewInt(3)}},
+		Idx:  []int32{0, 1},
+	}
+	if err := w.Stage(&StageReq{Epoch: 2, From: 1,
+		Rels: map[string]Slice{"t": ragged}, Mats: map[int32]Slice{}}); err == nil {
+		t.Fatal("staged a slice whose rows differ in width")
+	}
+	if h := w.Hello(); h.Staged != 1 {
+		t.Fatalf("staged epoch %d after the refused stage, want 1", h.Staged)
+	}
+	w.Close()
+	w2, err := NewWorker(0, a, dir)
+	if err != nil {
+		t.Fatalf("recovery after a refused stage: %v", err)
+	}
+	defer w2.Close()
+	if h := w2.Hello(); h.Staged != 1 {
+		t.Fatalf("recovered staged epoch %d, want 1", h.Staged)
+	}
 }

@@ -101,11 +101,10 @@ func (a Assignment) Ranges() [][2]int {
 //
 // HashCols/Hashes optionally ship the coordinator's already-built key-hash
 // columns alongside the rows, gathered down to the slice: Hashes[k][i] ==
-// Rows[i].HashCols(HashCols[k]). Workers seed their per-state hash cache
-// from them instead of paying a build pass per (leaf, key set) on first
-// probe. The fields are advisory — a worker validates lengths before
-// adopting and falls back to building, so malformed wire input degrades to
-// the old behavior rather than corrupting joins.
+// Rows[i].HashCols(HashCols[k]). Staging installs them on the leaf's ColView
+// (ColView.InstallKeyHashes), so a worker's first join on a shipped key set
+// pays no build pass. The fields are advisory: a column whose length does
+// not match the rows is ignored and the join builds its own.
 type Slice struct {
 	Rows []algebra.Tuple
 	Idx  []int32

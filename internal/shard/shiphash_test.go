@@ -2,12 +2,12 @@ package shard
 
 // Shipped-hash tests: the coordinator's already-built key-hash columns ride
 // inside every Slice (SliceOf gathers them from the relation's ColView
-// cache), and workers seed their per-state hash cache from them — so on the
-// hot install path a worker performs ZERO hash building, not merely one
-// amortized pass per key set.
+// cache), and staging seeds the leaf's ColView with them — so on the hot
+// install path a worker builds no hash column the coordinator already has.
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/algebra"
@@ -34,7 +34,7 @@ func TestSliceOfShipsCachedHashes(t *testing.T) {
 		}
 		found := false
 		for k, hc := range s.HashCols {
-			if !sameCols(hc, cols) {
+			if !slices.Equal(hc, cols) {
 				continue
 			}
 			found = true
@@ -73,10 +73,10 @@ func shippedSlice(n int, cols []int) Slice {
 	return s
 }
 
-// TestScatterAdoptsShippedHashes: staging a slice that carries the probe key's
-// hash column means the worker never hashes a leaf row — cacheBuilt stays 0
-// across cold and warm scatters (the install-path contract), probeHashed stays
-// 0, and the answers match a worker that had to build.
+// TestScatterAdoptsShippedHashes: staging a slice that carries the probe
+// key's hash column installs that very column on the leaf, cold and warm
+// scatters probe with it and build no other, and the answers match a worker
+// that had to build.
 func TestScatterAdoptsShippedHashes(t *testing.T) {
 	const n = 200
 	a := Assignment{Partitions: 4, Shards: 1}.Norm()
@@ -86,9 +86,13 @@ func TestScatterAdoptsShippedHashes(t *testing.T) {
 	}
 	// joinReq filters then projects {1,0}, so its probe column 1 maps back to
 	// leaf column 0 — the shipped set.
+	shipped := shippedSlice(n, []int{0})
 	if err := w.Stage(&StageReq{Epoch: 1, From: -1, Base: true,
-		Rels: map[string]Slice{"t": shippedSlice(n, []int{0})}, Mats: map[int32]Slice{}}); err != nil {
+		Rels: map[string]Slice{"t": shipped}, Mats: map[int32]Slice{}}); err != nil {
 		t.Fatal(err)
+	}
+	if _, h := leafCache(t, w, 1, "t", []int{0}); !sameColumn(h, shipped.Hashes[0]) {
+		t.Fatal("staging did not adopt the shipped hash column")
 	}
 
 	control, _ := hashWorker(t, 1, n)
@@ -96,34 +100,25 @@ func TestScatterAdoptsShippedHashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
+	if len(want.Rows) == 0 {
+		t.Fatal("join produced no rows; test is vacuous")
+	}
 	for i := 0; i < 5; i++ {
 		got, err := w.Scatter(joinReq(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Rows) != len(want.Rows) || len(got.Rows) == 0 {
-			t.Fatalf("scatter %d: %d rows, want %d (nonzero)", i, len(got.Rows), len(want.Rows))
-		}
-		for r, tu := range want.Rows {
-			if !tu.Equal(got.Rows[r]) || want.Ord[r] != got.Ord[r] {
-				t.Fatalf("scatter %d row %d: %v/%d, want %v/%d",
-					i, r, got.Rows[r], got.Ord[r], tu, want.Ord[r])
-			}
-		}
+		samePartial(t, "shipped-hash scatter", want, got)
 	}
-	probed, built := w.HashStats()
-	if built != 0 {
-		t.Fatalf("worker built hashes over %d rows despite shipped column; want 0", built)
-	}
-	if probed != 0 {
-		t.Fatalf("worker hashed %d probe rows per-row; want 0", probed)
+	if sets, h := leafCache(t, w, 1, "t", []int{0}); len(sets) != 1 || !sameColumn(h, shipped.Hashes[0]) {
+		t.Fatalf("scatters replaced or added to the shipped column: cached %v", sets)
 	}
 }
 
 // TestScatterShippedHashMismatchFallsBack: a shipped column whose length does
-// not match the rows (reachable only from a malformed wire peer) is ignored —
-// the worker builds as before and answers stay correct.
+// not match the rows (reachable only from a malformed wire peer) is not
+// installed — the first join builds the column itself and answers stay
+// correct.
 func TestScatterShippedHashMismatchFallsBack(t *testing.T) {
 	const n = 100
 	a := Assignment{Partitions: 4, Shards: 1}.Norm()
@@ -137,6 +132,9 @@ func TestScatterShippedHashMismatchFallsBack(t *testing.T) {
 		Rels: map[string]Slice{"t": s}, Mats: map[int32]Slice{}}); err != nil {
 		t.Fatal(err)
 	}
+	if sets, _ := leafCache(t, w, 1, "t", nil); len(sets) != 0 {
+		t.Fatalf("malformed shipped column installed: cached %v", sets)
+	}
 
 	control, _ := hashWorker(t, 1, n)
 	want, err := control.Scatter(joinReq(1))
@@ -147,15 +145,49 @@ func TestScatterShippedHashMismatchFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("%d rows, want %d", len(got.Rows), len(want.Rows))
+	samePartial(t, "fallback scatter", want, got)
+	if _, h := leafCache(t, w, 1, "t", []int{0}); len(h) != n {
+		t.Fatalf("fallback cached a %d-entry column, want %d", len(h), n)
 	}
-	for r, tu := range want.Rows {
-		if !tu.Equal(got.Rows[r]) {
-			t.Fatalf("row %d: %v, want %v", r, got.Rows[r], tu)
-		}
+}
+
+// TestScatterJoinConfirmsKeysOnCollision: every leaf row ships the hash of
+// build key 1, so each probe row lands in key 1's bucket whatever its own
+// key. Only the join's key comparison keeps the answer equal to a worker
+// probing with true hashes.
+func TestScatterJoinConfirmsKeysOnCollision(t *testing.T) {
+	const n = 70
+	a := Assignment{Partitions: 4, Shards: 1}.Norm()
+	w, err := NewWorker(0, a, "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, built := w.HashStats(); built != int64(n) {
-		t.Fatalf("fallback built %d, want %d (one full pass)", built, n)
+	build := []algebra.Tuple{
+		{algebra.NewInt(1), algebra.NewString("a")},
+		{algebra.NewInt(1), algebra.NewString("b")},
 	}
+	s := shippedSlice(n, []int{0})
+	for i := range s.Hashes[0] {
+		s.Hashes[0][i] = build[0].HashCols([]int{0})
+	}
+	if err := w.Stage(&StageReq{Epoch: 1, From: -1, Base: true,
+		Rels: map[string]Slice{"t": s}, Mats: map[int32]Slice{}}); err != nil {
+		t.Fatal(err)
+	}
+	req := &ScatterReq{Epoch: 1, Leaf: LeafRef{Rel: "t"}, Stages: []Stage{
+		{Kind: StageJoin, BuildIsLeft: true, BCols: []int{0}, PCols: []int{0}, Build: build},
+	}}
+	control, _ := hashWorker(t, 1, n)
+	want, err := control.Scatter(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Rows) == 0 || len(want.Rows) >= 2*n {
+		t.Fatalf("control join has %d rows; test is vacuous", len(want.Rows))
+	}
+	got, err := w.Scatter(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePartial(t, "colliding hashes", want, got)
 }

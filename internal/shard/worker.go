@@ -8,12 +8,14 @@ package shard
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/algebra"
+	"repro/internal/exec"
+	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -27,70 +29,56 @@ const stageLogName = "stage.log"
 
 // state is one staged epoch's image of the shard's slices. States are
 // immutable once entered into the window: applying a delta builds fresh maps
-// (sharing unchanged Slice values), so scatters read them without locks. The
-// hash cache is the one mutable attachment: per-leaf key-column hashes built
-// lazily by the first join that probes them and reused — monotone and
-// guarded by hmu, so it never compromises the immutability the scatter path
-// relies on.
+// that share every unchanged leaf, so scatters read them without locks, and
+// a leaf's column and key-hash caches carry over to later epochs.
 type state struct {
-	rels map[string]Slice
-	mats map[int32]Slice
-
-	hmu    sync.Mutex
-	hcache map[hashKey][]uint64
+	rels map[string]*staged
+	mats map[int32]*staged
 }
 
-// hashKey identifies one cached hash column set: the scatter leaf plus the
-// leaf-relative key columns, rendered as a canonical string.
-type hashKey struct {
-	mat  bool
-	id   int32
-	rel  string
-	cols string
+// staged is one staged slice as the engine sees it: the rows as a relation of
+// anonymous columns, whose ColView is the worker's only key-hash cache, and
+// each row's global row index.
+type staged struct {
+	rel *storage.Relation
+	idx []int32
 }
 
-// hashesFor returns the leaf's per-row hashes over cols, adopting a hash
-// column the coordinator shipped inside the slice when one matches, and
-// otherwise building on first use (one HashCols per leaf row per distinct
-// key-column set per epoch); built reports whether this call paid for a
-// build — adopting shipped hashes is free and does not count. Returns nil
-// when any row is too narrow for cols — ragged slices are only reachable
-// from the wire, and the caller then falls back to the width-checked
-// per-row path.
-func (st *state) hashesFor(key hashKey, leaf Slice, cols []int) (hashes []uint64, built bool) {
-	st.hmu.Lock()
-	defer st.hmu.Unlock()
-	if h, ok := st.hcache[key]; ok {
-		return h, false
+// stageSlice stages a shipped slice, refusing rows of differing widths
+// (reachable only from the wire) and seeding the leaf's key-hash cache with
+// the shipped hash columns (InstallKeyHashes ignores a wrong-length column).
+func stageSlice(s Slice) (*staged, error) {
+	if len(s.Idx) != len(s.Rows) {
+		return nil, fmt.Errorf("%d row indexes for %d rows", len(s.Idx), len(s.Rows))
 	}
-	for k, hc := range leaf.HashCols {
-		if k >= len(leaf.Hashes) || len(leaf.Hashes[k]) != len(leaf.Rows) {
-			continue // malformed wire input: lengths must line up
-		}
-		if !sameCols(hc, cols) {
-			continue
-		}
-		if st.hcache == nil {
-			st.hcache = make(map[hashKey][]uint64)
-		}
-		st.hcache[key] = leaf.Hashes[k]
-		return leaf.Hashes[k], false
+	rel, err := relationOf(s.Rows)
+	if err != nil {
+		return nil, err
 	}
-	need := maxIdx(cols)
-	for _, t := range leaf.Rows {
-		if need >= len(t) {
-			return nil, false
+	cv := rel.ColView()
+	for k, cols := range s.HashCols {
+		if k < len(s.Hashes) {
+			cv.InstallKeyHashes(cols, s.Hashes[k])
 		}
 	}
-	h := make([]uint64, len(leaf.Rows))
-	for i, t := range leaf.Rows {
-		h[i] = t.HashCols(cols)
+	return &staged{rel: rel, idx: s.Idx}, nil
+}
+
+// relationOf adopts rows as a relation of anonymous columns, or reports the
+// first row whose width differs from row 0's.
+func relationOf(rows []algebra.Tuple) (*storage.Relation, error) {
+	width := 0
+	if len(rows) > 0 {
+		width = len(rows[0])
 	}
-	if st.hcache == nil {
-		st.hcache = make(map[hashKey][]uint64)
+	for i, t := range rows {
+		if len(t) != width {
+			return nil, fmt.Errorf("row %d has width %d, row 0 has %d", i, len(t), width)
+		}
 	}
-	st.hcache[key] = h
-	return h, true
+	rel := storage.NewRelation(make(algebra.Schema, width))
+	rel.ReplaceRows(rows)
+	return rel, nil
 }
 
 // Worker executes one shard. Methods are safe for concurrent use.
@@ -98,10 +86,6 @@ type Worker struct {
 	shard int
 	asg   Assignment
 	dir   string // "" disables durability (in-proc tests)
-
-	// Scatter hash instrumentation (see HashStats).
-	probeHashed atomic.Int64
-	cacheBuilt  atomic.Int64
 
 	mu        sync.Mutex
 	closed    bool
@@ -167,9 +151,11 @@ func (w *Worker) recover() error {
 		if err != nil {
 			break
 		}
-		if applyErr := w.applyLocked(req); applyErr != nil {
-			return fmt.Errorf("shard: stage log replay at offset %d: %w", good, applyErr)
+		st, err := w.nextStateLocked(req)
+		if err != nil {
+			return fmt.Errorf("shard: stage log replay at offset %d: %w", good, err)
 		}
+		w.enterLocked(req.Epoch, st)
 		good += n
 		rest = next
 	}
@@ -210,6 +196,10 @@ func (w *Worker) Stage(req *StageReq) error {
 	if !req.Base && w.staged < req.From {
 		return fmt.Errorf("shard %d: delta from epoch %d but staged only %d", w.shard, req.From, w.staged)
 	}
+	st, err := w.nextStateLocked(req)
+	if err != nil {
+		return fmt.Errorf("shard %d: stage epoch %d: %w", w.shard, req.Epoch, err)
+	}
 	if w.logF != nil {
 		if req.Base {
 			if err := w.rewriteLogLocked(req); err != nil {
@@ -225,7 +215,8 @@ func (w *Worker) Stage(req *StageReq) error {
 			}
 		}
 	}
-	return w.applyLocked(req)
+	w.enterLocked(req.Epoch, st)
+	return nil
 }
 
 // rewriteLogLocked replaces the stage log with a single Base frame
@@ -264,55 +255,61 @@ func (w *Worker) rewriteLogLocked(req *StageReq) error {
 	return err
 }
 
-// applyLocked enters req's epoch into the state window.
-func (w *Worker) applyLocked(req *StageReq) error {
-	var base *state
-	if req.Base || len(w.order) == 0 {
-		base = &state{rels: map[string]Slice{}, mats: map[int32]Slice{}}
-	} else {
-		base = w.states[w.order[len(w.order)-1]]
-	}
-	st := &state{
-		rels: make(map[string]Slice, len(base.rels)+len(req.Rels)),
-		mats: make(map[int32]Slice, len(base.mats)+len(req.Mats)),
-	}
-	for k, v := range base.rels {
-		st.rels[k] = v
-	}
-	for k, v := range base.mats {
-		st.mats[k] = v
+// nextStateLocked builds req's epoch state on top of the latest staged one,
+// sharing every leaf the request does not replace.
+func (w *Worker) nextStateLocked(req *StageReq) (*state, error) {
+	st := &state{rels: map[string]*staged{}, mats: map[int32]*staged{}}
+	if !req.Base && len(w.order) > 0 {
+		base := w.states[w.order[len(w.order)-1]]
+		maps.Copy(st.rels, base.rels)
+		maps.Copy(st.mats, base.mats)
 	}
 	for _, id := range req.Drops {
 		delete(st.mats, id)
 	}
-	for k, v := range req.Rels {
-		st.rels[k] = v
+	for name, s := range req.Rels {
+		lf, err := stageSlice(s)
+		if err != nil {
+			return nil, fmt.Errorf("relation %s: %w", name, err)
+		}
+		st.rels[name] = lf
 	}
-	for k, v := range req.Mats {
-		st.mats[k] = v
+	for id, s := range req.Mats {
+		lf, err := stageSlice(s)
+		if err != nil {
+			return nil, fmt.Errorf("result %d: %w", id, err)
+		}
+		st.mats[id] = lf
 	}
-	w.states[req.Epoch] = st
-	w.order = append(w.order, req.Epoch)
-	w.staged = req.Epoch
+	return st, nil
+}
+
+// enterLocked enters a staged epoch into the state window.
+func (w *Worker) enterLocked(epoch int64, st *state) {
+	w.states[epoch] = st
+	w.order = append(w.order, epoch)
+	w.staged = epoch
 	for len(w.order) > keepStates {
 		delete(w.states, w.order[0])
 		w.order = w.order[1:]
 	}
-	return nil
 }
 
-// Commit records the coordinator's gate flip and prunes states below it.
-// Advisory: correctness never depends on a commit arriving (the log and the
-// staged window carry the install).
+// Commit records the coordinator's gate flip and prunes the states below the
+// previous commit, so a reader that pinned the old gate just before the flip
+// still finds its epoch staged. Advisory: correctness never depends on a
+// commit arriving (the log and the staged window carry the install).
 func (w *Worker) Commit(epoch int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if epoch > w.committed {
-		w.committed = epoch
+	if epoch <= w.committed {
+		return nil
 	}
+	floor := w.committed
+	w.committed = epoch
 	keep := w.order[:0]
 	for _, e := range w.order {
-		if e >= epoch {
+		if e >= floor {
 			keep = append(keep, e)
 		} else {
 			delete(w.states, e)
@@ -351,273 +348,196 @@ func (w *Worker) Scatter(req *ScatterReq) (*Partial, error) {
 	if st == nil {
 		return nil, fmt.Errorf("shard %d: epoch %d not staged (window %v)", w.shard, req.Epoch, window)
 	}
-	var leaf Slice
-	var ok bool
+	var lf *staged
 	if req.Leaf.Mat {
-		leaf, ok = st.mats[req.Leaf.ID]
+		lf = st.mats[req.Leaf.ID]
 	} else {
-		leaf, ok = st.rels[req.Leaf.Rel]
+		lf = st.rels[req.Leaf.Rel]
 	}
-	if !ok {
+	if lf == nil {
 		return nil, fmt.Errorf("shard %d: unknown scatter leaf %+v at epoch %d", w.shard, req.Leaf, req.Epoch)
 	}
-	rows, ord := leaf.Rows, leaf.Idx
-	pc := &probeCtx{w: w, st: st, leaf: leaf, ref: req.Leaf}
-	pc.pos = make([]int32, len(rows))
-	for i := range pc.pos {
-		pc.pos[i] = int32(i)
-	}
+	p := &pipe{rel: lf.rel, ord: lf.idx, pos: seq[int32](lf.rel.Len()), cols: seq[int](len(lf.rel.Schema()))}
 	for si, stg := range req.Stages {
-		var err error
-		rows, ord, err = pc.runStage(stg, rows, ord)
-		if err != nil {
+		if len(p.pos) == 0 {
+			break // nothing left to transform; an empty leaf has no columns to check
+		}
+		if err := p.run(stg); err != nil {
 			return nil, fmt.Errorf("shard %d: stage %d: %w", w.shard, si, err)
 		}
 	}
+	rows, ord := p.emit()
 	return &Partial{Epoch: req.Epoch, Rows: rows, Ord: ord}, nil
 }
 
-// HashStats reports the scatter-path hash instrumentation: probeHashed
-// counts probe rows hashed row-at-a-time inside a join stage (leaf identity
-// lost, or the cache was unusable); cacheBuilt counts leaf rows hashed once
-// while populating a staged state's key-hash cache. On the hot path —
-// repeated scatters against the same staged epoch — the first query pays one
-// cacheBuilt pass per (leaf, key-column) pair and every later query reuses
-// the cached hashes, leaving both counters flat.
-func (w *Worker) HashStats() (probeHashed, cacheBuilt int64) {
-	return w.probeHashed.Load(), w.cacheBuilt.Load()
+// pipe is a scatter pipeline in flight over one relation: pos selects rows
+// of rel (ascending), cols maps pipeline columns to relation columns, and
+// ord holds each relation row's scatter-leaf index. Filters narrow pos and
+// projections rewrite cols, so neither moves a value; a join emits new rows,
+// and its output becomes the next relation.
+type pipe struct {
+	rel  *storage.Relation
+	ord  []int32
+	pos  []int32
+	cols []int
 }
 
-// probeCtx threads scatter-leaf row identity through one pipeline so join
-// stages can reuse the state's cached key hashes instead of rehashing every
-// probe row on every request. pos[i] is the leaf-local position pipeline row
-// i derives from, and colMap maps pipeline columns back to leaf columns
-// (nil = identity): filters subset pos, projections compose colMap, and the
-// first join consumes the identity — its outputs are composite rows, so
-// later joins hash directly.
-type probeCtx struct {
-	w      *Worker
-	st     *state
-	leaf   Slice
-	ref    LeafRef
-	pos    []int32
-	colMap []int
-}
-
-// probeHashes resolves the cached leaf hashes for a join's probe columns,
-// or nil when the pipeline rows no longer mirror leaf rows.
-func (pc *probeCtx) probeHashes(pCols []int) []uint64 {
-	if pc.pos == nil {
-		return nil
-	}
-	mapped, ok := mapCols(pCols, pc.colMap)
-	if !ok {
-		return nil
-	}
-	key := hashKey{mat: pc.ref.Mat, id: pc.ref.ID, rel: pc.ref.Rel, cols: fmt.Sprint(mapped)}
-	h, built := pc.st.hashesFor(key, pc.leaf, mapped)
-	if built {
-		pc.w.cacheBuilt.Add(int64(len(pc.leaf.Rows)))
-	}
-	return h
-}
-
-// runStage evaluates one pipeline stage, carrying the scatter-leaf origin
-// index of every surviving row. The join replays the local broadcast join
-// exactly: buckets in build-row order, probe rows in pipeline order, so the
-// emission order within one probe row equals single-node execution.
-func (pc *probeCtx) runStage(stg Stage, rows []algebra.Tuple, ord []int32) ([]algebra.Tuple, []int32, error) {
+// run applies one stage. The join replays the local broadcast join exactly:
+// buckets in build-row order, probe rows in pipeline order, so the emission
+// order within one probe row equals single-node execution.
+func (p *pipe) run(stg Stage) error {
 	switch stg.Kind {
 	case StageFilter:
-		if err := checkWidth(rows, maxCmpIdx(stg.Pred)); err != nil {
-			return nil, nil, err
-		}
-		bp := algebra.NewBoundPred(stg.Pred)
-		outR := make([]algebra.Tuple, 0, len(rows))
-		outO := make([]int32, 0, len(rows))
-		var outP []int32
-		if pc.pos != nil {
-			outP = make([]int32, 0, len(rows))
-		}
-		for i, t := range rows {
-			if bp.Eval(t) {
-				outR = append(outR, t)
-				outO = append(outO, ord[i])
-				if outP != nil {
-					outP = append(outP, pc.pos[i])
-				}
-			}
-		}
-		pc.pos = outP
-		return outR, outO, nil
+		return p.filter(stg.Pred)
 
 	case StageProject:
-		if minIdx(stg.Cols) < 0 {
-			return nil, nil, fmt.Errorf("negative projection index")
+		cols, err := p.colsOf(stg.Cols)
+		if err != nil {
+			return fmt.Errorf("projection: %w", err)
 		}
-		if err := checkWidth(rows, maxIdx(stg.Cols)); err != nil {
-			return nil, nil, err
-		}
-		outR := make([]algebra.Tuple, len(rows))
-		for i, t := range rows {
-			nt := make(algebra.Tuple, len(stg.Cols))
-			for j, c := range stg.Cols {
-				nt[j] = t[c]
-			}
-			outR[i] = nt
-		}
-		if m, ok := mapCols(stg.Cols, pc.colMap); ok {
-			pc.colMap = m
-		} else {
-			pc.pos, pc.colMap = nil, nil
-		}
-		return outR, ord, nil
+		p.cols = cols
+		return nil
 
 	case StageJoin:
-		if minIdx(stg.PCols) < 0 || minIdx(stg.BCols) < 0 {
-			return nil, nil, fmt.Errorf("negative join key index")
+		pCols, err := p.colsOf(stg.PCols)
+		if err != nil {
+			return fmt.Errorf("probe key: %w", err)
 		}
-		if err := checkWidth(rows, maxIdx(stg.PCols)); err != nil {
-			return nil, nil, err
+		build, err := relationOf(stg.Build)
+		if err != nil {
+			return fmt.Errorf("build side: %w", err)
 		}
-		if err := checkWidth(stg.Build, maxIdx(stg.BCols)); err != nil {
-			return nil, nil, fmt.Errorf("build side: %w", err)
+		bw, pw := len(build.Schema()), len(p.cols)
+		if build.Len() == 0 {
+			p.pos = nil
+			return nil
 		}
-		buckets := make(map[uint64][]algebra.Tuple, len(stg.Build))
-		for _, bt := range stg.Build {
-			h := bt.HashCols(stg.BCols)
-			buckets[h] = append(buckets[h], bt)
+		if err := inRange(stg.BCols, bw); err != nil {
+			return fmt.Errorf("build key: %w", err)
 		}
-		ph := pc.probeHashes(stg.PCols)
-		var res algebra.BoundPred
-		if stg.HasResidual {
-			res = algebra.NewBoundPred(stg.Residual)
+		buckets := make(map[uint64][]int32, build.Len())
+		for i, h := range build.ColView().KeyHashes(stg.BCols, storage.Par{}) {
+			buckets[h] = append(buckets[h], int32(i))
 		}
-		resMax := maxCmpIdx(stg.Residual)
-		outR := make([]algebra.Tuple, 0, len(rows))
-		outO := make([]int32, 0, len(rows))
-		missed := 0
-		for i, pt := range rows {
-			var h uint64
-			if ph != nil {
-				h = ph[pc.pos[i]]
-			} else {
-				h = pt.HashCols(stg.PCols)
-				missed++
-			}
-			for _, bt := range buckets[h] {
-				if !algebra.EqualOn(pt, stg.PCols, bt, stg.BCols) {
-					continue
+		ph := p.rel.ColView().KeyHashes(pCols, storage.Par{})
+		rows, bRows := p.rel.Rows(), build.Rows()
+		var out []algebra.Tuple
+		var ord []int32
+		for _, i := range p.pos {
+			pt := rows[i]
+			for _, bi := range buckets[ph[i]] {
+				bt := bRows[bi]
+				if !algebra.EqualOn(pt, pCols, bt, stg.BCols) {
+					continue // hash collision across distinct keys
 				}
-				lt, rt := bt, pt
+				row := make(algebra.Tuple, bw+pw)
+				bSide, pSide := row[:bw], row[bw:]
 				if !stg.BuildIsLeft {
-					lt, rt = pt, bt
+					pSide, bSide = row[:pw], row[pw:]
 				}
-				row := make(algebra.Tuple, len(lt)+len(rt))
-				copy(row, lt)
-				copy(row[len(lt):], rt)
-				if stg.HasResidual {
-					if resMax >= len(row) {
-						return nil, nil, fmt.Errorf("residual index %d out of range for width %d", resMax, len(row))
-					}
-					if !res.Eval(row) {
-						continue
-					}
+				copy(bSide, bt)
+				for k, c := range p.cols {
+					pSide[k] = pt[c]
 				}
-				outR = append(outR, row)
-				outO = append(outO, ord[i])
+				out = append(out, row)
+				ord = append(ord, p.ord[i])
 			}
 		}
-		if missed > 0 {
-			pc.w.probeHashed.Add(int64(missed))
+		p.rel = storage.NewRelation(make(algebra.Schema, bw+pw))
+		p.rel.ReplaceRows(out)
+		p.ord, p.pos, p.cols = ord, seq[int32](len(out)), seq[int](bw+pw)
+		if stg.HasResidual {
+			return p.filter(stg.Residual)
 		}
-		pc.pos, pc.colMap = nil, nil
-		return outR, outO, nil
+		return nil
 	}
-	return nil, nil, fmt.Errorf("unknown stage kind %d", stg.Kind)
+	return fmt.Errorf("unknown stage kind %d", stg.Kind)
 }
 
-// sameCols reports whether two key-column sets are elementwise equal.
-func sameCols(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// filter narrows the selection to rows passing a predicate compiled against
+// the pipeline columns, evaluated by the engine's selection kernel over the
+// relation. Negative indexes are literal operands, as in BoundPred.
+func (p *pipe) filter(pred []algebra.BoundCmp) error {
+	cs := make([]algebra.BoundCmp, len(pred))
+	for i, c := range pred {
+		if c.LArith != nil || c.RArith != nil {
+			return fmt.Errorf("arithmetic predicates are not part of the wire format")
+		}
+		for _, idx := range []*int{&c.LIdx, &c.RIdx} {
+			if *idx < 0 {
+				continue
+			}
+			if *idx >= len(p.cols) {
+				return fmt.Errorf("predicate index %d out of range for width %d", *idx, len(p.cols))
+			}
+			*idx = p.cols[*idx]
+		}
+		cs[i] = c
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	bm := exec.SelectBound(p.rel, algebra.NewBoundPred(cs), storage.Par{})
+	keep := p.pos[:0]
+	for _, i := range p.pos {
+		if bm.Get(int(i)) {
+			keep = append(keep, i)
 		}
 	}
-	return true
+	p.pos = keep
+	return nil
 }
 
-// mapCols maps pipeline-relative columns back to leaf columns through colMap
-// (nil = identity). Reports false when a column falls outside the map — only
-// reachable when the pipeline is empty of rows, where nothing would be
-// hashed anyway.
-func mapCols(cols []int, colMap []int) ([]int, bool) {
-	if colMap == nil {
-		return cols, true
+// colsOf maps pipeline columns to relation columns, refusing indexes
+// outside the pipeline width (negative ones are reachable from the wire).
+func (p *pipe) colsOf(cols []int) ([]int, error) {
+	if err := inRange(cols, len(p.cols)); err != nil {
+		return nil, err
 	}
 	out := make([]int, len(cols))
 	for i, c := range cols {
-		if c < 0 || c >= len(colMap) {
-			return nil, false
-		}
-		out[i] = colMap[c]
+		out[i] = p.cols[c]
 	}
-	return out, true
+	return out, nil
 }
 
-// maxIdx returns the largest index referenced (-1 for none).
-func maxIdx(cols []int) int {
-	m := -1
+// emit gathers the selected rows in pipeline columns, sharing the relation's
+// tuples when the columns are the relation's own.
+func (p *pipe) emit() ([]algebra.Tuple, []int32) {
+	rows := p.rel.Rows()
+	whole := len(p.cols) == len(p.rel.Schema())
+	for j, c := range p.cols {
+		whole = whole && c == j
+	}
+	out := make([]algebra.Tuple, len(p.pos))
+	ord := make([]int32, len(p.pos))
+	for k, i := range p.pos {
+		ord[k] = p.ord[i]
+		if whole {
+			out[k] = rows[i]
+			continue
+		}
+		t := make(algebra.Tuple, len(p.cols))
+		for j, c := range p.cols {
+			t[j] = rows[i][c]
+		}
+		out[k] = t
+	}
+	return out, ord
+}
+
+// inRange reports the first index outside [0, width).
+func inRange(cols []int, width int) error {
 	for _, c := range cols {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// maxCmpIdx returns the largest tuple index a bound predicate touches.
-func maxCmpIdx(cs []algebra.BoundCmp) int {
-	m := -1
-	for _, c := range cs {
-		if c.LIdx > m {
-			m = c.LIdx
-		}
-		if c.RIdx > m {
-			m = c.RIdx
-		}
-	}
-	return m
-}
-
-// checkWidth validates every row is wide enough for the largest referenced
-// index — the light structural check that turns malformed requests into
-// errors instead of panics.
-func checkWidth(rows []algebra.Tuple, need int) error {
-	if need < 0 {
-		return nil
-	}
-	for i, t := range rows {
-		if need >= len(t) {
-			return fmt.Errorf("row %d has width %d, index %d referenced", i, len(t), need)
+		if c < 0 || c >= width {
+			return fmt.Errorf("column %d out of range for width %d", c, width)
 		}
 	}
 	return nil
 }
 
-// minIdx returns the smallest index referenced (0 for none). Negative
-// column indexes are impossible from Lower but reachable from the wire;
-// projection and join-key stages reject them (filter predicates treat
-// negative indexes as literal operands, matching BoundPred semantics).
-func minIdx(cols []int) int {
-	m := 0
-	for _, c := range cols {
-		if c < m {
-			m = c
-		}
+// seq returns 0, 1, ..., n-1.
+func seq[T int | int32](n int) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = T(i)
 	}
-	return m
+	return out
 }

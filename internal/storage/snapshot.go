@@ -47,9 +47,6 @@ func (s *Snapshot) Relation(name string) *Relation { return s.rels[name] }
 // snapshot, or nil if the node is not materialized.
 func (s *Snapshot) Mat(id int) *Relation { return s.mats[id] }
 
-// MatCount reports how many materialized results the snapshot carries.
-func (s *Snapshot) MatCount() int { return len(s.mats) }
-
 // Mats returns a copy of the materialized-result map (id → relation). The
 // relations are the snapshot's immutable versions and must not be mutated;
 // tests use this to assert which stored results a given epoch still carries
